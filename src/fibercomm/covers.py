@@ -39,16 +39,6 @@ class SubgroupGraph:
     trans: dict
     basepoint: object = 0
 
-    def step(self, state, letter):
-        """Follow one oriented letter; None when undefined."""
-        if is_positive(letter):
-            return self.trans.get((state, letter))
-        b = base(letter)
-        for (s, x), t in self.trans.items():
-            if x == b and t == state:
-                return s
-        return None
-
     def _in_map(self):
         inn = {}
         for (s, x), t in self.trans.items():
@@ -262,10 +252,6 @@ def fold_subgroup_graph(generators, symbols):
 def full_group(symbols):
     symbols = tuple(sorted(symbols))
     return SubgroupGraph(symbols, (0,), {(0, s): 0 for s in symbols}, 0)
-
-
-def subgroup_index(sg: SubgroupGraph, symbols=None):
-    return sg.index()
 
 
 def subgroups_equal(h1: SubgroupGraph, h2: SubgroupGraph):
@@ -769,19 +755,6 @@ def subgroup_from_json_dict(d):
     return SubgroupGraph(
         tuple(d["symbols"]), tuple(d["vertices"]), trans, d["basepoint"]
     ).canonical()
-
-
-def coset_table_csv(sg: SubgroupGraph):
-    """Coset table of a finite-index subgroup, one row per state."""
-    if not sg.is_complete():
-        raise InfiniteIndex()
-    sg = sg.canonical()
-    lines = ["state," + ",".join(str(s) for s in sg.symbols)]
-    for s in sg.states:
-        lines.append(
-            f"{s}," + ",".join(str(sg.trans[(s, sym)]) for sym in sg.symbols)
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _signed_range(cap):

@@ -8,6 +8,7 @@ edge orbits identifying the fundamental group with a free basis.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DisconnectedGraph, NonIncidentEdges, NotALoop, UnknownEdge
@@ -20,11 +21,6 @@ class OrientedEdge:
     src: str
     dst: str
     length: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.length <= 0:
-            # recorded here so validate_graph can still report it
-            pass
 
 
 @dataclass(frozen=True)
@@ -68,16 +64,23 @@ class MarkedGraph:
             raise UnknownEdge(e)
         return data.length
 
+    @cached_property
+    def _oriented(self):
+        return tuple(d for e in sorted(self.edges) for d in (e, inv(e)))
+
+    @cached_property
+    def _out_of(self):
+        table = {}
+        for d in self._oriented:
+            table.setdefault(self.edge_src(d), []).append(d)
+        return {v: tuple(ds) for v, ds in table.items()}
+
     def oriented_edges(self):
-        out = []
-        for e in sorted(self.edges):
-            out.append(e)
-            out.append(inv(e))
-        return out
+        return self._oriented
 
     def edges_at(self, v):
         """Oriented edges emanating from vertex v (directions at v)."""
-        return [e for e in self.oriented_edges() if self.edge_src(e) == v]
+        return self._out_of.get(v, ())
 
     def valence(self, v):
         return len(self.edges_at(v))

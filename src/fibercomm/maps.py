@@ -6,23 +6,35 @@ transition matrix lives in :mod:`fibercomm.spectral`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotHomotopyEquivalence, UnknownEdge
+from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
 from .words import (
-    apply_images,
+    _cyclic_start,
+    _Inverses,
+    _OrientedImages,
+    _tighten,
     base,
-    cyclic_reduce,
     cyclic_rotations,
     enumerate_reduced_words,
     free_reduce,
     inv,
     inverse,
-    is_positive,
     power_images,
 )
+
+
+class _EdgeImages(_OrientedImages):
+    """Oriented edge -> image path under an edge map; an edge outside the
+    map is an ``UnknownEdge``."""
+
+    def __missing__(self, e):
+        if base(e) not in self.images:
+            raise UnknownEdge(e)
+        return super().__missing__(e)
 
 
 @dataclass(frozen=True)
@@ -33,14 +45,17 @@ class GraphMap:
     vertex_map: dict
     edge_map: dict  # positive edge id -> tuple of oriented edge ids
 
+    @cached_property
+    def _images(self):
+        """Images of both orientations of every edge, each built once per map."""
+        return _EdgeImages(self.edge_map)
+
+    @cached_property
+    def _inverses(self):
+        return _Inverses()
+
     def edge_image(self, e):
-        b = base(e)
-        if b not in self.edge_map:
-            raise UnknownEdge(e)
-        img = self.edge_map[b]
-        if not is_positive(e):
-            img = tuple(inv(x) for x in reversed(img))
-        return img
+        return self._images[e]
 
     def vertex_image(self, v):
         return self.vertex_map[v]
@@ -58,7 +73,7 @@ class GraphMap:
                 continue
             try:
                 g.check_path(img)
-            except Exception:
+            except (NonIncidentEdges, UnknownEdge):
                 problems.append(f"image of {e} is not a path")
                 continue
             if free_reduce(img) != tuple(img):
@@ -93,14 +108,7 @@ def identity_map(g: MarkedGraph):
 
 def apply_map(f: GraphMap, path):
     """Tightened image g(p)_#."""
-    out = []
-    for e in path:
-        for y in f.edge_image(e):
-            if out and out[-1] == inv(y):
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return _tighten(map(f._images.__getitem__, path), f._inverses)
 
 
 def iterate_map(f: GraphMap, path, n):
@@ -289,10 +297,10 @@ def induced_outer_automorphism(f: GraphMap, basepoint=None, check=True):
 
 
 def _is_automorphism(symbols, images):
-    from .covers import fold_subgroup_graph, subgroup_index  # local: avoids cycle
+    from .covers import fold_subgroup_graph  # local: avoids cycle
 
     sg = fold_subgroup_graph(list(images.values()), symbols)
-    return sg.is_complete() and subgroup_index(sg, symbols) == 1
+    return sg.is_complete() and sg.index() == 1
 
 
 # --- Nielsen paths ------------------------------------------------------
@@ -315,6 +323,7 @@ class NielsenPath:
 def _edge_paths(g: MarkedGraph, max_len):
     """All nonempty reduced edge paths up to max_len, (length, lex) ordered."""
     frontier = [((d,), g.edge_dst(d)) for d in sorted(g.oriented_edges())]
+    out_of = {v: sorted(g.edges_at(v)) for _, v in frontier}
     while frontier:
         for path, _ in frontier:
             yield path
@@ -322,7 +331,7 @@ def _edge_paths(g: MarkedGraph, max_len):
             return
         nxt = []
         for path, v in frontier:
-            for d in sorted(g.edges_at(v)):
+            for d in out_of[v]:
                 if d != inv(path[-1]):
                     nxt.append((path + (d,), g.edge_dst(d)))
         frontier = nxt
@@ -363,7 +372,7 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
     mat = transition_matrix(f)
     try:
         sf, _, _ = pf_data(mat)
-    except Exception:
+    except ZeroMatrix:
         return []
     if not sf.expanding:
         return []
@@ -552,12 +561,18 @@ def is_atoroidal(f: GraphMap, power_bound, length_bound, basepoint=None):
     """
     images = induced_outer_automorphism(f, basepoint=basepoint, check=False)
     symbols = f.domain.basis_symbols()
-    powers = [power_images(images, k) for k in range(1, power_bound + 1)]
+    tables = [_OrientedImages(power_images(images, k)) for k in range(1, power_bound + 1)]
+    inverse_of = _Inverses()
     for w in enumerate_reduced_words(symbols, length_bound, cyclically_reduced=True):
-        rotations = set(cyclic_rotations(w))
-        for k, imgs in enumerate(powers, start=1):
-            img, _ = cyclic_reduce(apply_images(imgs, w))
-            if img in rotations:
+        rotations = None
+        for k, table in enumerate(tables, start=1):
+            img = _tighten(map(table.__getitem__, w), inverse_of)
+            i = _cyclic_start(img, inverse_of)
+            if len(img) - 2 * i != len(w):
+                continue
+            if rotations is None:
+                rotations = set(cyclic_rotations(w))
+            if img[i : len(img) - i] in rotations:
                 return ToroidalityVerdict(True, w, k)
     return ToroidalityVerdict(False)
 

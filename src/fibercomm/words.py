@@ -28,26 +28,64 @@ def inverse(word):
     return tuple(inv(x) for x in reversed(word))
 
 
+class _Inverses(dict):
+    """Letter -> inverse letter, each computed on its first lookup."""
+
+    def __missing__(self, letter):
+        self[letter] = mate = inv(letter)
+        return mate
+
+
+class _OrientedImages(dict):
+    """Oriented letter -> image word under the basis images ``images``;
+    the image of an inverse letter is inverted on its first lookup."""
+
+    def __init__(self, images):
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, letter):
+        img = self.images[base(letter)]
+        if not is_positive(letter):
+            img = inverse(img)
+        self[letter] = img
+        return img
+
+
+def _tighten(pieces, inverse_of):
+    """Concatenation of the letter sequences ``pieces``, freely reduced.
+
+    The one cancel-on-inverse loop behind words, basis images and edge
+    paths: a letter pops the top of the stack when the top is its inverse
+    (looked up in ``inverse_of``) and is pushed otherwise.
+    """
+    out = []
+    push, pop = out.append, out.pop
+    for piece in pieces:
+        for y in piece:
+            if out and out[-1] == inverse_of[y]:
+                pop()
+            else:
+                push(y)
+    return tuple(out)
+
+
+def _cyclic_start(word, inverse_of):
+    """Number of letters cyclic reduction strips from each end of a reduced word."""
+    i, j = 0, len(word) - 1
+    while j > i and word[i] == inverse_of[word[j]]:
+        i += 1
+        j -= 1
+    return i
+
+
 def free_reduce(word):
     """Reduce a word by cancelling adjacent inverse pairs."""
-    out = []
-    for x in word:
-        if out and out[-1] == inv(x):
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    return _tighten((word,), _Inverses())
 
 
 def concat(*words):
-    out = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == inv(x):
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return _tighten(words, _Inverses())
 
 
 def cyclic_reduce(word):
@@ -55,12 +93,9 @@ def cyclic_reduce(word):
 
     The input is freely reduced first.
     """
-    w = list(free_reduce(word))
-    pre = []
-    while len(w) >= 2 and w[0] == inv(w[-1]):
-        pre.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(pre)
+    w = free_reduce(word)
+    i = _cyclic_start(w, _Inverses())
+    return w[i : len(w) - i], w[:i]
 
 
 def is_reduced(word):
@@ -108,17 +143,7 @@ def apply_images(images, word):
     ``images`` maps basis symbols to words; inverse letters use the inverse
     image.
     """
-    out = []
-    for x in word:
-        img = images[base(x)]
-        if not is_positive(x):
-            img = inverse(img)
-        for y in img:
-            if out and out[-1] == inv(y):
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return _tighten(map(_OrientedImages(images).__getitem__, word), _Inverses())
 
 
 def compose_images(outer, inner):

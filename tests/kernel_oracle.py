@@ -1,0 +1,192 @@
+"""Reference copies of the letter-by-letter word and path kernels.
+
+These are the implementations the table-driven kernels in ``fibercomm.words``
+and ``fibercomm.maps`` replaced, kept unchanged as a test oracle.  The only
+edits: ``GraphMap.edge_image``, ``MarkedGraph.oriented_edges`` and
+``MarkedGraph.edges_at`` became module functions taking the map or graph,
+and the functions call each other by their names here.  The helpers these
+functions call and that did not change (``path_src``, ``edge_dst``,
+``enumerate_reduced_words``, ``cyclic_rotations`` and
+``induced_outer_automorphism``) come from the package.
+"""
+
+from fibercomm.errors import UnknownEdge
+from fibercomm.maps import ToroidalityVerdict, induced_outer_automorphism
+from fibercomm.words import cyclic_rotations, enumerate_reduced_words
+
+
+def inv(letter):
+    """Inverse of a single oriented letter."""
+    return letter[1:] if letter.startswith("~") else "~" + letter
+
+
+def base(letter):
+    """Underlying symbol of an oriented letter (strips the ``~``)."""
+    return letter[1:] if letter.startswith("~") else letter
+
+
+def is_positive(letter):
+    return not letter.startswith("~")
+
+
+def inverse(word):
+    return tuple(inv(x) for x in reversed(word))
+
+
+def free_reduce(word):
+    """Reduce a word by cancelling adjacent inverse pairs."""
+    out = []
+    for x in word:
+        if out and out[-1] == inv(x):
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def concat(*words):
+    out = []
+    for w in words:
+        for x in w:
+            if out and out[-1] == inv(x):
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def cyclic_reduce(word):
+    """Return ``(core, conjugator)`` with ``word = conjugator * core * conjugator^-1``.
+
+    The input is freely reduced first.
+    """
+    w = list(free_reduce(word))
+    pre = []
+    while len(w) >= 2 and w[0] == inv(w[-1]):
+        pre.append(w[0])
+        w = w[1:-1]
+    return tuple(w), tuple(pre)
+
+
+def apply_images(images, word):
+    """Substitute basis letters by their image words and freely reduce.
+
+    ``images`` maps basis symbols to words; inverse letters use the inverse
+    image.
+    """
+    out = []
+    for x in word:
+        img = images[base(x)]
+        if not is_positive(x):
+            img = inverse(img)
+        for y in img:
+            if out and out[-1] == inv(y):
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+def compose_images(outer, inner):
+    """Basis images of the composite ``outer after inner``."""
+    return {s: apply_images(outer, w) for s, w in inner.items()}
+
+
+def identity_images(symbols):
+    return {s: (s,) for s in symbols}
+
+
+def power_images(images, n):
+    symbols = sorted(images)
+    result = identity_images(symbols)
+    for _ in range(n):
+        result = compose_images(images, result)
+    return result
+
+
+def edge_image(f, e):
+    b = base(e)
+    if b not in f.edge_map:
+        raise UnknownEdge(e)
+    img = f.edge_map[b]
+    if not is_positive(e):
+        img = tuple(inv(x) for x in reversed(img))
+    return img
+
+
+def apply_map(f, path):
+    """Tightened image g(p)_#."""
+    out = []
+    for e in path:
+        for y in edge_image(f, e):
+            if out and out[-1] == inv(y):
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+def oriented_edges(g):
+    out = []
+    for e in sorted(g.edges):
+        out.append(e)
+        out.append(inv(e))
+    return out
+
+
+def edges_at(g, v):
+    """Oriented edges emanating from vertex v (directions at v)."""
+    return [e for e in oriented_edges(g) if g.edge_src(e) == v]
+
+
+def _edge_paths(g, max_len):
+    """All nonempty reduced edge paths up to max_len, (length, lex) ordered."""
+    frontier = [((d,), g.edge_dst(d)) for d in sorted(oriented_edges(g))]
+    while frontier:
+        for path, _ in frontier:
+            yield path
+        if len(frontier[0][0]) == max_len:
+            return
+        nxt = []
+        for path, v in frontier:
+            for d in sorted(edges_at(g, v)):
+                if d != inv(path[-1]):
+                    nxt.append((path + (d,), g.edge_dst(d)))
+        frontier = nxt
+
+
+def _vertex_nielsen_paths(f, period_bound, length_bound):
+    found = {}
+    for sigma in _edge_paths(f.domain, length_bound):
+        if inverse(sigma) in found:
+            continue
+        path = sigma
+        for p in range(1, period_bound + 1):
+            path = apply_map(f, path)
+            if path == sigma:
+                found[sigma] = p
+                break
+    out = []
+    for sigma, p in found.items():
+        u, v = f.domain.path_src(sigma), f.domain.path_dst(sigma)
+        out.append((sigma, p, (("vertex", u), ("vertex", v))))
+    return out
+
+
+def is_atoroidal(f, power_bound, length_bound, basepoint=None):
+    """Bounded search for a conjugacy class fixed by a power of the map.
+
+    Classes are compared by cyclic reduction plus rotation; a class and its
+    inverse are not identified.  Returns the lexicographically least witness
+    in (length, word, power) order.
+    """
+    images = induced_outer_automorphism(f, basepoint=basepoint, check=False)
+    symbols = f.domain.basis_symbols()
+    powers = [power_images(images, k) for k in range(1, power_bound + 1)]
+    for w in enumerate_reduced_words(symbols, length_bound, cyclically_reduced=True):
+        rotations = set(cyclic_rotations(w))
+        for k, imgs in enumerate(powers, start=1):
+            img, _ = cyclic_reduce(apply_images(imgs, w))
+            if img in rotations:
+                return ToroidalityVerdict(True, w, k)
+    return ToroidalityVerdict(False)

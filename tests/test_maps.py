@@ -1,7 +1,8 @@
 import pytest
 
+from fibercomm import spectral
 from fibercomm.errors import NotHomotopyEquivalence
-from fibercomm.graph import rose
+from fibercomm.graph import MarkedGraph, rose
 from fibercomm.maps import (
     GraphMap,
     apply_map,
@@ -120,3 +121,33 @@ def test_nielsen_square_is_divisible(fib):
 
 def test_plast_nielsen_free_at_small_bounds(plast):
     assert find_nielsen_paths(plast, 2, 6) == []
+
+
+def test_validate_reports_images_that_are_not_paths():
+    g = rose(("a", "b"))
+    f = GraphMap(g, {"v0": "v0"}, {"a": ("a", "zz"), "b": ("a",)})
+    assert "image of a is not a path" in f.validate()
+
+
+def test_validate_propagates_unexpected_errors(fib, monkeypatch):
+    def broken(self, path):
+        raise RuntimeError("bug in check_path")
+
+    monkeypatch.setattr(MarkedGraph, "check_path", broken)
+    with pytest.raises(RuntimeError, match="bug in check_path"):
+        fib.validate()
+
+
+def test_zero_transition_matrix_has_no_interior_nielsen_paths():
+    g = rose(("a", "b"))
+    collapse = GraphMap(g, {"v0": "v0"}, {"a": (), "b": ()})
+    assert find_nielsen_paths(collapse, 2, 3) == []
+
+
+def test_nielsen_search_propagates_unexpected_pf_errors(fib, monkeypatch):
+    def broken(mat):
+        raise RuntimeError("bug in pf_data")
+
+    monkeypatch.setattr(spectral, "pf_data", broken)
+    with pytest.raises(RuntimeError, match="bug in pf_data"):
+        find_nielsen_paths(fib, 2, 3)
