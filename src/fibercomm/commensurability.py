@@ -28,6 +28,7 @@ from .covers import (
 from .errors import (
     NotAnAutomorphism,
     NotCommensurableRatio,
+    NotRotationless,
     ResourceBound,
     SolverBound,
     StabilizationBound,
@@ -523,7 +524,7 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
 
         try:
             verdict = angle_labeling(g)
-        except Exception:
+        except NotRotationless:
             verdict = ("symmetric", None)
         if verdict[0] == "symmetric":
             return ("symmetric", verdict[1])
@@ -776,7 +777,7 @@ def minimal_element_search(
                 report["hypotheses"]["nielsen_free_within_bounds"] = (
                     idx.nielsen_free_within_bounds
                 )
-        except Exception as exc:
+        except NotRotationless as exc:
             report["hypotheses"]["index_error"] = str(exc)
 
     candidate = phi

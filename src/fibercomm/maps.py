@@ -8,8 +8,6 @@ transition matrix lives in :mod:`fibercomm.spectral`.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
 from .words import (
@@ -139,34 +137,37 @@ def orbit_order(g: MarkedGraph):
 
 
 def transition_matrix(f: GraphMap):
-    """Occurrence counts per unoriented edge orbit (entry[i][j] = #i in image of j)."""
+    """Occurrence counts per unoriented edge orbit (entry[i][j] = #i in image
+    of j), as lists of ints."""
     order = orbit_order(f.domain)
     index = {e: i for i, e in enumerate(order)}
-    mat = np.zeros((len(order), len(order)), dtype=np.int64)
+    mat = [[0] * len(order) for _ in order]
     for j, e in enumerate(order):
         for x in f.edge_image(e):
-            mat[index[base(x)], j] += 1
+            mat[index[base(x)]][j] += 1
     return mat
 
 
 def is_irreducible_matrix(mat):
-    """Strong connectivity of the digraph of a nonnegative matrix."""
-    n = mat.shape[0]
+    """Strong connectivity of the digraph of a nonnegative matrix (a nested
+    sequence)."""
+    n = len(mat)
     if n == 0:
         return False
+    out = [[j for j in range(n) if mat[i][j]] for i in range(n)]
+    into = [[i for i in range(n) if mat[i][j]] for j in range(n)]
 
     def reachable(adj):
         seen = {0}
         stack = [0]
         while stack:
-            i = stack.pop()
-            for j in range(n):
-                if adj[i, j] and j not in seen:
+            for j in adj[stack.pop()]:
+                if j not in seen:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == n
 
-    return reachable(mat != 0) and reachable((mat != 0).T)
+    return reachable(out) and reachable(into)
 
 
 # --- train track verification ------------------------------------------

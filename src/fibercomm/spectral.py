@@ -1,22 +1,20 @@
 """Exact stretch factor data for nonnegative integer transition matrices.
 
-All certification is algebraic: characteristic polynomials are exact,
-the Perron-Frobenius root is isolated to a rational enclosure, and
-power identities between stretch factors are decided through minimal
-polynomials.  Floating point only appears as a prefilter.
+All certification is integer and rational arithmetic: the characteristic
+polynomial comes from division-free Berkowitz, the Perron-Frobenius root
+is isolated by Sturm sequences, its minimal polynomial is the Zassenhaus
+factor (Berlekamp mod p, Hensel lifting, recombination) vanishing in the
+isolating interval, and power identities between stretch factors are
+decided by Sturm counts on a polynomial gcd.  Floating point only appears
+as a prefilter.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import sympy
-from sympy import Poly, Rational, Symbol
+from itertools import combinations, count
 
 from .errors import ZeroMatrix
-
-_x = Symbol("x")
 
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
 
@@ -106,7 +104,7 @@ class RootField:
                 out += [Fraction(0)] * (self.degree - len(out))
                 return tuple(out[: self.degree])
             q, rem = _poly_divmod(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
+            s_new = _sub(s0, _mul(q, s1))
             r0, s0 = r1, s1
             r1, s1 = strip(rem), s_new
             if not r1:
@@ -151,10 +149,6 @@ class RootField:
         mid = (self.lo + self.hi) / 2
         return _eval_poly(a, mid)
 
-    def to_sympy(self, a, root_expr):
-        return sum(sympy.Rational(c.numerator, c.denominator) * root_expr**i
-                   for i, c in enumerate(a))
-
 
 def _poly_divmod(num, den):
     num = list(num)
@@ -165,21 +159,6 @@ def _poly_divmod(num, den):
         for i, d in enumerate(den):
             num[k + i] -= c * d
     return q, num[: len(den) - 1]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def _eval_poly(coeffs, t):
@@ -197,6 +176,343 @@ def _interval_eval(coeffs, lo, hi):
         products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(products) + c, max(products) + c
     return alo, ahi
+
+
+# --- integer polynomials, lowest degree first; [] is zero -----------------
+
+
+def _trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _sub(a, b):
+    return _add(a, [-c for c in b])
+
+
+def _mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _primitive(p):
+    """``p`` divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
+
+
+def _prem(a, b):
+    """A positive multiple of the remainder of ``a`` by ``b``."""
+    r = _trim(a)
+    db, scale, sign = len(b) - 1, abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(r) - 1 >= db:
+        c, shift = sign * r[-1], len(r) - 1 - db
+        r = [scale * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        r = _trim(r)
+    return r
+
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of ``a`` by the monic ``b``."""
+    r, db = list(a), len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db]
+        if c:
+            for j, y in enumerate(b):
+                r[i + j] -= c * y
+    return q, _trim(r[:db])
+
+
+def _gcd(a, b):
+    """Primitive gcd with a positive leading coefficient."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    a = _primitive(a)
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _squarefree(p):
+    """Squarefree part of the monic ``p``."""
+    return _divmod_monic(p, _gcd(p, _derivative(p)))[0]
+
+
+def _sign_at(p, t):
+    """Sign of p(t) at a Fraction t, from sum c_i u^i v^(d-i) with t = u/v."""
+    u, v = t.numerator, t.denominator
+    acc, w = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * w
+        w *= v
+    return (acc > 0) - (acc < 0)
+
+
+# --- real roots: Sturm sequences and bisection ---------------------------
+
+
+def _sturm_chain(p):
+    """Sturm sequence of the squarefree ``p``, each member scaled by a
+    positive constant to a primitive integer polynomial."""
+    chain = [list(p), _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _variations(chain, t):
+    """Sign changes along the chain at t; the number of roots of chain[0]
+    in (a, b] is ``_variations(chain, a) - _variations(chain, b)``."""
+    changes, last = 0, 0
+    for p in chain:
+        s = _sign_at(p, t)
+        if s:
+            changes += last == -s
+            last = s
+    return changes
+
+
+def _isolate_largest_root(chain):
+    """(a, b] holding the largest real root of chain[0] and no other root."""
+    p = chain[0]
+    b = Fraction(1 + max(map(abs, p[:-1])) // abs(p[-1]) + 1)  # Cauchy bound
+    a = -b
+    va, vb = _variations(chain, a), _variations(chain, b)
+    if va == vb:
+        raise ValueError("polynomial has no real root")
+    while va - vb > 1:
+        m = (a + b) / 2
+        vm = _variations(chain, m)
+        if vm > vb:
+            a, va = m, vm
+        else:
+            b, vb = m, vm
+    return a, b
+
+
+def _narrow(g, a, b, width):
+    """Bisect (a, b), which holds one root of ``g`` and no rational root,
+    until it is at most ``width`` wide."""
+    sb = _sign_at(g, b)
+    while b - a > width:
+        m = (a + b) / 2
+        if _sign_at(g, m) == sb:
+            b = m
+        else:
+            a = m
+    return a, b
+
+
+def _has_root_in(g, a, b):
+    """Whether the irreducible ``g`` has a root in (a, b], given that at
+    most one of its roots lies there."""
+    if len(g) == 2:
+        return a < Fraction(-g[0], g[1]) <= b
+    return _sign_at(g, a) != _sign_at(g, b)
+
+
+# --- polynomials over GF(p) ----------------------------------------------
+
+
+def _gf(a, p):
+    return _trim([c % p for c in a])
+
+
+def _gf_divmod(a, b, p):
+    inv, db = pow(b[-1], -1, p), len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] * inv % p
+        if c:
+            for j, y in enumerate(b):
+                r[i + j] = (r[i + j] - c * y) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd over GF(p)."""
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_bezout(a, b, p):
+    """(s, t) with s a + t b = 1 over GF(p), for coprime ``a`` and ``b``."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _gf(_sub(t0, _mul(q, t1)), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _gf_nullspace(rows, n, p):
+    """Basis of {v : sum_j row[j] v[j] = 0 for every row} over GF(p)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                rows[i] = [(x - c * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for i, col in enumerate(pivots):
+                v[col] = -rows[i][free] % p
+            basis.append(v)
+    return basis
+
+
+def _berlekamp(f, p):
+    """Monic irreducible factors of the monic squarefree ``f`` over GF(p)."""
+    n = len(f) - 1
+    xp, base, e = [1], [0, 1], p  # x^p mod f
+    while e:
+        if e & 1:
+            xp = _gf_divmod(_gf(_mul(xp, base), p), f, p)[1]
+        base = _gf_divmod(_gf(_mul(base, base), p), f, p)[1]
+        e >>= 1
+    q, row = [], [1]  # row i of Berlekamp's matrix: x^(i p) mod f
+    for _ in range(n):
+        q.append(row + [0] * (n - len(row)))
+        row = _gf_divmod(_gf(_mul(row, xp), p), f, p)[1]
+    # v(x)^p = v(x) mod f  <=>  v (Q - I) = 0
+    basis = _gf_nullspace([[(q[i][j] - (i == j)) % p for i in range(n)] for j in range(n)], n, p)
+    factors = [f]
+    for v in basis:
+        v = _trim(v)
+        if len(factors) == len(basis):
+            break
+        if len(v) < 2:
+            continue
+        split = []
+        for u in factors:
+            for s in range(p):
+                g = _gf_gcd(u, _gf(_sub(v, [s]), p), p)
+                if 1 < len(g) < len(u):
+                    split.append(g)
+                    u = _gf_divmod(u, g, p)[0]
+            split.append(u)
+        factors = split
+    return sorted(factors, key=lambda u: (len(u), u))
+
+
+def _primes():
+    for p in count(3, 2):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+
+
+def _modular_factors(f):
+    """(p, factors of f over GF(p)) for the prime with the fewest factors
+    among the first three odd primes at which f stays squarefree."""
+    best, primes_tried = None, 3
+    for p in _primes():
+        fp = _gf(f, p)
+        if len(_gf_gcd(fp, _gf(_derivative(fp), p), p)) > 1:
+            continue
+        factors = _berlekamp(fp, p)
+        if best is None or len(factors) < len(best[1]):
+            best = (p, factors)
+        primes_tried -= 1
+        if not primes_tried or len(factors) == 1:
+            return best
+
+
+def _hensel_pair(f, g, h, p, k):
+    """Lift f = g h (mod p), with g and h monic and coprime mod p, to a
+    factorisation modulo p**k, one power of p per step."""
+    s, t = _gf_bezout(g, h, p)
+    m = p
+    for _ in range(k - 1):
+        e = [c // m % p for c in _sub(f, _mul(g, h))]
+        # a h + b g = e (mod p) with deg a < deg g
+        q, a = _gf_divmod(_gf(_mul(t, e), p), g, p)
+        b = _gf(_add(_mul(s, e), _mul(q, h)), p)
+        g = _add(g, [m * c for c in a])
+        h = _add(h, [m * c for c in b])
+        m *= p
+    return g, h
+
+
+def _factor_with_root(f, a, b):
+    """The irreducible factor of the monic squarefree ``f`` that has a root
+    in (a, b], where f has exactly one root (Zassenhaus)."""
+    if len(f) <= 2:
+        return f
+    p, modular = _modular_factors(f)
+    if len(modular) == 1:
+        return f
+    # coefficients of a factor of f are below the Mignotte bound
+    bound = (math.isqrt(len(f)) + 1) * 2 ** (len(f) - 1) * max(map(abs, f))
+    k, modulus = 1, p
+    while modulus <= 2 * bound:
+        k, modulus = k + 1, modulus * p
+    lifted, rest = [], f
+    for i, g in enumerate(modular[:-1]):
+        h = [1]
+        for u in modular[i + 1:]:
+            h = _gf(_mul(h, u), p)
+        g, rest = _hensel_pair(rest, g, h, p, k)
+        lifted.append(g)
+    lifted.append(rest)
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [1]
+            for i in subset:
+                g = [c % modulus for c in _mul(g, lifted[i])]
+            g = [c - modulus if 2 * c > modulus else c for c in g]
+            if f[0] and (not g[0] or f[0] % g[0]):
+                continue
+            q, r = _divmod_monic(f, g)
+            if r:
+                continue
+            if _has_root_in(g, a, b):
+                return g
+            f, lifted = q, [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return f
 
 
 # --- stretch factors ----------------------------------------------------
@@ -217,72 +533,71 @@ class StretchFactor:
     def field(self):
         return RootField(self.min_poly, self.enclosure)
 
-    def root_expr(self):
-        poly = Poly(list(reversed(self.min_poly)), _x)
-        roots = sympy.real_roots(poly)
-        lo, hi = self.enclosure
-        for r in roots:
-            if _root_in_interval(r, lo, hi):
-                return r
-        raise RuntimeError("PF root lost")
 
-
-def _root_in_interval(r, lo, hi):
-    if r.is_Rational:
-        q = Fraction(int(r.p), int(r.q))
-        return lo <= q <= hi
-    approx = _rational_approx(r, Fraction(1, 10**14))
-    return lo - Fraction(1, 10**13) <= approx <= hi + Fraction(1, 10**13)
-
-
-def _rational_approx(root, dx):
-    if hasattr(root, "eval_rational"):
-        val = root.eval_rational(dx=Rational(dx.numerator, dx.denominator))
-        return Fraction(int(val.p), int(val.q))
-    # radical expression (low degree): evalf with generous guard digits
-    digits = max(30, 2 * len(str(dx.denominator)))
-    val = sympy.Rational(str(root.evalf(digits)))
-    return Fraction(int(val.p), int(val.q))
+def _int_rows(mat):
+    return [[int(x) for x in row] for row in mat]
 
 
 def char_poly_coeffs(mat):
-    """Exact characteristic polynomial, lowest degree first."""
-    m = sympy.Matrix(mat.tolist() if isinstance(mat, np.ndarray) else mat)
-    poly = m.charpoly(_x)
-    coeffs = [int(c) for c in poly.all_coeffs()]  # highest first
-    return tuple(reversed(coeffs))
+    """Exact characteristic polynomial det(xI - mat), lowest degree first,
+    by division-free Berkowitz over the integers."""
+    rows = _int_rows(mat)
+    n = len(rows)
+    poly = [1]  # of the trailing principal submatrix, highest degree first
+    for k in range(n - 1, -1, -1):
+        # Toeplitz column: 1, -a_kk, -R C, -R A C, -R A^2 C, ...
+        r, v = rows[k][k + 1:], [rows[i][k] for i in range(k + 1, n)]
+        col = [1, -rows[k][k]]
+        for _ in range(n - k - 1):
+            col.append(-sum(x * y for x, y in zip(r, v)))
+            v = [sum(x * y for x, y in zip(rows[i][k + 1:], v)) for i in range(k + 1, n)]
+        poly = [
+            sum(col[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1))
+            for i in range(len(poly) + 1)
+        ]
+    return tuple(reversed(poly))
+
+
+def _pf_root(cp):
+    """(minimal polynomial, enclosure) of the largest real root of the
+    monic ``cp``.  A rational root has lo = hi; otherwise the enclosure is
+    (c - w/2, c + w/2) with c within w/4 of the root, w = ENCLOSURE_WIDTH
+    unless a smaller power-of-two fraction of it is needed to isolate the
+    root from the other real roots of cp."""
+    sqf = _squarefree(cp)
+    chain = _sturm_chain(sqf)
+    a, b = _isolate_largest_root(chain)
+    g = _factor_with_root(sqf, a, b)
+    if len(g) == 2:
+        root = Fraction(-g[0], g[1])
+        return g, (root, root)
+    width = ENCLOSURE_WIDTH
+    while True:
+        a, b = _narrow(g, a, b, width / 2)
+        c = (a + b) / 2
+        lo, hi = c - width / 2, c + width / 2
+        if _sign_at(sqf, lo) and _variations(chain, lo) - _variations(chain, hi) == 1:
+            return g, (lo, hi)
+        width /= 2
 
 
 def pf_data(mat):
     """Stretch factor data: char poly, PF root enclosure, minimal factor.
 
-    Returns ``(StretchFactor, irreducible_flag, eigenvector_approx)`` where
-    the eigenvector is a rational approximation of a right PF eigenvector.
+    ``mat`` is any nested sequence of integers.  Returns
+    ``(StretchFactor, irreducible_flag, eigenvector_approx)`` where the
+    eigenvector is a rational approximation of a right PF eigenvector.
     """
-    mat = np.asarray(mat, dtype=np.int64)
-    if not mat.any():
+    rows = _int_rows(mat)
+    if not any(any(row) for row in rows):
         raise ZeroMatrix()
-    cp = char_poly_coeffs(mat)
-    poly = Poly(list(reversed(cp)), _x)
-    real = sympy.real_roots(poly)
-    pf = max(real, key=lambda r: r.evalf(30))
-    half = ENCLOSURE_WIDTH / 2
-    if pf.is_Rational:
-        center = Fraction(int(pf.p), int(pf.q))
-        lo = hi = center
-        min_poly = (-center.numerator, center.denominator)
-        if min_poly[1] < 0:
-            min_poly = (-min_poly[0], -min_poly[1])
-    else:
-        center = _rational_approx(pf, half / 2)
-        lo, hi = center - half, center + half
-        mp = sympy.minimal_polynomial(pf, _x)
-        min_poly = tuple(reversed([int(c) for c in Poly(mp, _x).all_coeffs()]))
-    sf = StretchFactor(cp, min_poly, (lo, hi), expanding=lo > 1)
+    cp = char_poly_coeffs(rows)
+    min_poly, (lo, hi) = _pf_root(cp)
+    sf = StretchFactor(cp, tuple(min_poly), (lo, hi), expanding=lo > 1)
     from .maps import is_irreducible_matrix  # local: avoid import cycle
 
-    irreducible = is_irreducible_matrix(mat)
-    eigvec = _pf_eigenvector_approx(mat, sf)
+    irreducible = is_irreducible_matrix(rows)
+    eigvec = _pf_eigenvector_approx(rows, sf)
     return sf, irreducible, eigvec
 
 
@@ -334,13 +649,11 @@ def _solve_eigen(rows, field):
 
 
 def pf_right_eigenvector(mat, field):
-    mat = np.asarray(mat, dtype=np.int64)
-    return _solve_eigen([list(map(int, row)) for row in mat], field)
+    return _solve_eigen(_int_rows(mat), field)
 
 
 def pf_left_eigenvector(mat, field):
-    mat = np.asarray(mat, dtype=np.int64)
-    return _solve_eigen([list(map(int, row)) for row in mat.T], field)
+    return _solve_eigen([list(col) for col in zip(*_int_rows(mat))], field)
 
 
 # --- rationality of log ratios ------------------------------------------
@@ -356,7 +669,7 @@ def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):
     """Bounded certification that log(lam2)/log(lam1) is rational.
 
     ``Rational(p/q)`` is returned in lowest terms iff ``lam1^p = lam2^q``
-    exactly, certified via minimal polynomials; a float ratio only
+    exactly, certified by ``_algebraic_power_equal``; a float ratio only
     prefilters candidate pairs.
     """
     if not (s1.expanding and s2.expanding):
@@ -377,35 +690,49 @@ def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):
 
 
 def _algebraic_power_equal(s1, p, s2, q):
-    """Exact test of lam1^p == lam2^q."""
-    a = s1.root_expr() ** p
-    b = s2.root_expr() ** q
-    ma = Poly(sympy.minimal_polynomial(a, _x), _x)
-    mb = Poly(sympy.minimal_polynomial(b, _x), _x)
-    if ma != mb:
-        return False
-    # same minimal polynomial: equal iff the same real root of it
-    roots = sympy.real_roots(ma)
-    ia = _which_root(roots, s1.enclosure, p)
-    ib = _which_root(roots, s2.enclosure, q)
-    return ia == ib and ia is not None
+    """Exact test of lam1^p == lam2^q.
+
+    lam^p is the largest real root of charpoly(C^p), C the companion
+    matrix of lam's (monic) minimal polynomial, since every conjugate of a
+    PF root is at most lam in modulus.  So lam1^p = lam2^q iff both are
+    roots of the gcd of the two characteristic polynomials.
+    """
+    a, b = _power_poly(s1.min_poly, p), _power_poly(s2.min_poly, q)
+    g = _gcd(a, b)
+    return len(g) > 1 and _power_is_root(s1, p, a, g) and _power_is_root(s2, q, b, g)
 
 
-def _which_root(roots, enclosure, power):
-    lo, hi = enclosure
-    plo, phi = lo**power, hi**power
-    hits = []
-    for i, r in enumerate(roots):
-        approx = (
-            Fraction(int(r.p), int(r.q))
-            if r.is_Rational
-            else _rational_approx(r, (phi - plo) / 4 if phi > plo else Fraction(1, 10**14))
-        )
-        if plo - Fraction(1, 10**10) <= approx <= phi + Fraction(1, 10**10):
-            hits.append(i)
-    if len(hits) == 1:
-        return hits[0]
-    # enclosure too coarse to separate; refine by exact midpoint ordering
-    if hits:
-        return hits[0]
-    return None
+def _power_poly(min_poly, p):
+    """charpoly(C^p): its roots are the p-th powers of those of min_poly."""
+    d = len(min_poly) - 1
+    comp = [[int(i == j + 1) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        comp[i][d - 1] = -min_poly[i]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    while p:
+        if p & 1:
+            power = _mat_mul(power, comp)
+        comp = _mat_mul(comp, comp)
+        p >>= 1
+    return char_poly_coeffs(power)
+
+
+def _mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _power_is_root(sf, p, a, g):
+    """Whether lam^p is a root of ``g``, a divisor of ``a`` whose largest
+    real root is lam^p, by Sturm counts on an interval isolating lam^p."""
+    lo, hi = sf.enclosure
+    if lo == hi:
+        return _sign_at(g, lo**p) == 0
+    chain = _sturm_chain(_squarefree(a))
+    while True:
+        plo, phi = lo**p, hi**p  # lo > 1: powers keep the order
+        if _sign_at(chain[0], plo) and _variations(chain, plo) - _variations(chain, phi) == 1:
+            break
+        lo, hi = _narrow(sf.min_poly, lo, hi, (hi - lo) / 2)
+    chain = _sturm_chain(_squarefree(g))
+    return _variations(chain, plo) - _variations(chain, phi) == 1

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fibercomm
 from fibercomm.cli import main
 from fibercomm.covers import build_cover, enumerate_subgroups, lift_map
 from fibercomm.maps import map_to_json_dict
@@ -163,3 +167,24 @@ def test_determinism_byte_identical(fixture_dir, tmp_path):
         p2 = tmp_path / f"{tag}-run2.json"
         assert main(argv + ["--out", str(p1)]) == main(argv + ["--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+GUARD = """
+import sys
+import fibercomm.cli
+for module in ("spectral", "whitehead", "covers", "commensurability"):
+    __import__("fibercomm." + module)
+for command in ("analyze", "cover"):
+    assert fibercomm.cli.main([command, sys.argv[1], "--out", sys.argv[2] + command]) == 0
+print(sorted(m for m in ("sympy", "numpy") if m in sys.modules))
+"""
+
+
+def test_cli_imports_neither_sympy_nor_numpy(fixture_dir, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fibercomm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", GUARD, str(fixture_dir / "FIB.json"), str(tmp_path / "out-")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"

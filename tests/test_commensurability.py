@@ -25,7 +25,8 @@ from fibercomm.covers import (
     lift_map,
     smallest_invariant_power,
 )
-from fibercomm.errors import NotCommensurableRatio
+from fibercomm import whitehead
+from fibercomm.errors import NotCommensurableRatio, NotRotationless
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import (
@@ -171,6 +172,26 @@ def test_quotient_descent_strict_angles(fib, fib3_lift, double_cover):
     assert status == "symmetric"
 
 
+def test_quotient_descent_not_rotationless_is_symmetric(fib, fib3_lift, double_cover, monkeypatch):
+    def not_rotationless(f):
+        raise NotRotationless()
+
+    monkeypatch.setattr(whitehead, "angle_labeling", not_rotationless)
+    status, offender = quotient_descent(
+        fib3_lift, map_power(fib, 3), double_cover, 1, strict_angles=True
+    )
+    assert (status, offender) == ("symmetric", None)
+
+
+def test_quotient_descent_propagates_unexpected_angle_errors(fib, fib3_lift, double_cover, monkeypatch):
+    def broken(f):
+        raise RuntimeError("bug in angle_labeling")
+
+    monkeypatch.setattr(whitehead, "angle_labeling", broken)
+    with pytest.raises(RuntimeError, match="bug in angle_labeling"):
+        quotient_descent(fib3_lift, map_power(fib, 3), double_cover, 1, strict_angles=True)
+
+
 def test_quotient_descent_rejects_wrong_base(fib, fib3_lift, double_cover):
     status, _ = quotient_descent(fib3_lift, fib, double_cover, 1)
     assert status == "not_descendable"
@@ -217,6 +238,25 @@ def test_minimize_fixed_point(phi):
     assert report["candidate"].images == phi.images
     assert report["hypotheses"]["train_track"]
     assert not report["hypotheses"]["ageometric"]
+
+
+def test_minimize_reports_not_rotationless_as_index_error(phi, monkeypatch):
+    def not_rotationless(f, nielsen_bounds=(2, 6)):
+        raise NotRotationless("power is not rotationless")
+
+    monkeypatch.setattr(whitehead, "geometric_index", not_rotationless)
+    report = minimal_element_search(phi, k_max=3, index_max=2)
+    assert report["hypotheses"]["index_error"] == "power is not rotationless"
+    assert "ageometric" not in report["hypotheses"]
+
+
+def test_minimize_propagates_unexpected_index_errors(phi, monkeypatch):
+    def broken(f, nielsen_bounds=(2, 6)):
+        raise RuntimeError("bug in geometric_index")
+
+    monkeypatch.setattr(whitehead, "geometric_index", broken)
+    with pytest.raises(RuntimeError, match="bug in geometric_index"):
+        minimal_element_search(phi, k_max=3, index_max=2)
 
 
 def test_poset_dot_output():

@@ -39,7 +39,7 @@ def test_compose_matches_power(fib):
 
 def test_transition_matrix(fib):
     mat = transition_matrix(fib)
-    assert mat.tolist() == [[1, 1], [1, 0]]
+    assert mat == [[1, 1], [1, 0]]
 
 
 def test_fib_is_train_track(fib):

@@ -39,7 +39,7 @@ def test_pf_eigenvector_is_positive_and_consistent(fib):
     for i in range(len(vec)):
         acc = field.zero()
         for j in range(len(vec)):
-            acc = field.add(acc, field.mul(field.from_rational(int(mat[i, j])), vec[j]))
+            acc = field.add(acc, field.mul(field.from_rational(mat[i][j]), vec[j]))
         assert field.sign(field.sub(acc, field.mul(lam, vec[i]))) == 0
         assert field.sign(vec[i]) > 0
 
