@@ -14,7 +14,7 @@ def report(name, f):
     print(f"== {name} ==")
     verdict = is_train_track(f)
     print(f"  train track: {verdict.is_train_track}, irreducible: {verdict.irreducible}")
-    sf, _, _ = pf_data(transition_matrix(f))
+    sf, _ = pf_data(transition_matrix(f))
     print(f"  char poly (lowest degree first): {sf.char_poly}")
     print(f"  stretch factor ~ {sf.approx:.12f}  (enclosure width <= 1e-12)")
     k = rotationless_power(f, 12)

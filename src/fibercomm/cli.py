@@ -87,7 +87,7 @@ def _dump(obj):
 def _stretch_dict(f):
     from .spectral import pf_data
 
-    sf, irreducible, _ = pf_data(transition_matrix(f))
+    sf, irreducible = pf_data(transition_matrix(f))
     lo, hi = sf.enclosure
     return {
         "char_poly": list(sf.char_poly),

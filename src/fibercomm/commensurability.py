@@ -41,6 +41,7 @@ from .maps import (
     map_power,
     transition_matrix,
 )
+from .unionfind import UnionFind
 from .words import (
     apply_images,
     base,
@@ -88,7 +89,7 @@ class OuterAutomorphism:
             return None
         from .spectral import pf_data
 
-        sf, _, _ = pf_data(transition_matrix(self.representative))
+        sf, _ = pf_data(transition_matrix(self.representative))
         return sf
 
 
@@ -488,26 +489,6 @@ class QuotientResult:
     certificates: dict
 
 
-def _union_find():
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-        return True
-
-    return find, union
-
-
 def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angles=False):
     """Descend a lift to a quotient of its graph (dynamical quotient).
 
@@ -537,30 +518,30 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
             return ("not_descendable", f"projection does not commute on edge {e}")
 
     bound = len(total.vertices) + len(total.edges)
-    vfind, vunion = _union_find()
+    vsets = UnionFind()
     fibers = {}
     for v in total.vertices:
         fibers.setdefault(p.vertex_projection[v], []).append(v)
     for vs in fibers.values():
         for v in vs[1:]:
-            vunion(vs[0], v)
+            vsets.union(vs[0], v)
     stabilized = False
     for _ in range(bound + 1):
         changed = False
         classes = {}
         for v in total.vertices:
-            classes.setdefault(vfind(v), []).append(v)
+            classes.setdefault(vsets.find(v), []).append(v)
         for vs in classes.values():
             imgs = [gn.vertex_map[v] for v in vs]
             for v in imgs[1:]:
-                changed |= vunion(imgs[0], v)
+                changed |= vsets.union(imgs[0], v)
         if not changed:
             stabilized = True
             break
     if not stabilized:
         raise StabilizationBound("vertex classes did not stabilize")
 
-    dfind, dunion = _union_find()
+    dsets = UnionFind()
     dir_fibers = {}
     for d in total.oriented_edges():
         bd = p.edge_projection[base(d)]
@@ -568,17 +549,17 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
         dir_fibers.setdefault(bd, []).append(d)
     for ds in dir_fibers.values():
         for d in ds[1:]:
-            dunion(ds[0], d)
+            dsets.union(ds[0], d)
     stabilized = False
     for _ in range(bound + 1):
         changed = False
         classes = {}
         for d in total.oriented_edges():
-            classes.setdefault(dfind(d), []).append(d)
+            classes.setdefault(dsets.find(d), []).append(d)
         for ds in classes.values():
             imgs = [gn.edge_image(d)[0] for d in ds]
             for d in imgs[1:]:
-                changed |= dunion(imgs[0], d)
+                changed |= dsets.union(imgs[0], d)
         if not changed:
             stabilized = True
             break
@@ -587,29 +568,29 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
     # reversal consistency: d1 ~ d2 must give ~d1 ~ ~d2
     for d1 in total.oriented_edges():
         for d2 in total.oriented_edges():
-            if dfind(d1) == dfind(d2) and dfind(inv(d1)) != dfind(inv(d2)):
+            if dsets.find(d1) == dsets.find(d2) and dsets.find(inv(d1)) != dsets.find(inv(d2)):
                 return ("not_descendable", f"direction classes break reversal at {d1},{d2}")
 
     # edges: same class iff directions match at both ends (lengths must agree)
-    efind, eunion = _union_find()
+    esets = UnionFind()
     dirs = total.oriented_edges()
     for d1 in dirs:
         for d2 in dirs:
-            if dfind(d1) == dfind(d2) and dfind(inv(d1)) == dfind(inv(d2)):
+            if dsets.find(d1) == dsets.find(d2) and dsets.find(inv(d1)) == dsets.find(inv(d2)):
                 if total.edge_length(d1) != total.edge_length(d2):
                     return ("not_descendable", "edge lengths differ within a class")
-                eunion(base(d1), base(d2))
+                esets.union(base(d1), base(d2))
 
     # build the quotient graph
     vclasses = {}
     for v in sorted(total.vertices):
-        vclasses.setdefault(vfind(v), []).append(v)
+        vclasses.setdefault(vsets.find(v), []).append(v)
     vname = {root: f"q{idx}" for idx, root in enumerate(sorted(vclasses))}
-    vproj = {v: vname[vfind(v)] for v in total.vertices}
+    vproj = {v: vname[vsets.find(v)] for v in total.vertices}
 
     eclasses = {}
     for e in sorted(total.edges):
-        eclasses.setdefault(efind(e), []).append(e)
+        eclasses.setdefault(esets.find(e), []).append(e)
     # orientation: the class representative keeps its orientation; other
     # members align via direction classes
     from .graph import OrientedEdge
@@ -625,9 +606,9 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
             total.edge_length(rep),
         )
         for e in members:
-            if dfind(e) == dfind(rep):
+            if dsets.find(e) == dsets.find(rep):
                 eproj[e] = qid
-            elif dfind(e) == dfind(inv(rep)):
+            elif dsets.find(e) == dsets.find(inv(rep)):
                 eproj[e] = inv(qid)
             else:
                 return ("not_descendable", f"edge {e} matches {rep} in no orientation")
@@ -647,7 +628,7 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
     # induced map: must be independent of the class member
     q_edge_map = {}
     for root, members in sorted(eclasses.items()):
-        images = {push(gn.edge_image(e) if dfind(e) == dfind(members[0]) else
+        images = {push(gn.edge_image(e) if dsets.find(e) == dsets.find(members[0]) else
                        gn.edge_image(inv(e))) for e in members}
         if len(images) != 1:
             return ("not_descendable", f"induced image not well defined on class of {members[0]}")

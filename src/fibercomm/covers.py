@@ -6,7 +6,7 @@ to equality (canonical coset-table form), not conjugacy.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
 from .errors import (
@@ -17,6 +17,7 @@ from .errors import (
     SolverBound,
 )
 from .graph import MarkedGraph, OrientedEdge, loop_to_word
+from .unionfind import UnionFind
 from .words import (
     apply_images,
     base,
@@ -39,15 +40,13 @@ class SubgroupGraph:
     trans: dict
     basepoint: object = 0
 
+    @cached_property
     def _in_map(self):
-        inn = {}
-        for (s, x), t in self.trans.items():
-            inn[(t, x)] = s
-        return inn
+        return {(t, x): s for (s, x), t in self.trans.items()}
 
     def trace(self, word, start=None):
         """Endpoint of the word read from ``start``; None if it leaves the graph."""
-        inn = self._in_map()
+        inn = self._in_map
         state = self.basepoint if start is None else start
         for letter in word:
             if is_positive(letter):
@@ -77,7 +76,7 @@ class SubgroupGraph:
     def canonical(self):
         """Canonically relabeled copy (BFS from the basepoint, fixed letter
         order); two graphs are equal as subgroups iff canonical forms match."""
-        inn = self._in_map()
+        inn = self._in_map
         order = {self.basepoint: 0}
         queue = [self.basepoint]
         letters = []
@@ -102,9 +101,10 @@ class SubgroupGraph:
 
     # --- spanning tree and basis ----------------------------------------
 
+    @cached_property
     def _tree(self):
         """BFS tree: maps state -> (parent state, oriented letter from parent)."""
-        inn = self._in_map()
+        inn = self._in_map
         parent = {self.basepoint: None}
         queue = [self.basepoint]
         letters = []
@@ -122,8 +122,18 @@ class SubgroupGraph:
                     queue.append(nxt)
         return parent, tree_transitions
 
+    @cached_property
+    def _generator_index(self):
+        """Transitions off the BFS tree, in sorted order, each numbered by
+        the position of its basis word."""
+        _, tree = self._tree
+        off_tree = [
+            (s, x, t) for (s, x), t in sorted(self.trans.items()) if (s, x, t) not in tree
+        ]
+        return {edge: i for i, edge in enumerate(off_tree)}
+
     def path_from_base(self, state):
-        parent, _ = self._tree()
+        parent, _ = self._tree
         path = []
         while parent[state] is not None:
             prev, letter = parent[state]
@@ -133,14 +143,10 @@ class SubgroupGraph:
 
     def basis(self):
         """Free basis of the subgroup as ambient words, in canonical order."""
-        parent, tree = self._tree()
-        gens = []
-        for (s, x), t in sorted(self.trans.items()):
-            if (s, x, t) in tree:
-                continue
-            word = concat(self.path_from_base(s), (x,), inverse(self.path_from_base(t)))
-            gens.append(word)
-        return gens
+        return [
+            concat(self.path_from_base(s), (x,), inverse(self.path_from_base(t)))
+            for s, x, t in self._generator_index
+        ]
 
     def express_in_basis(self, word, gen_symbols=None):
         """Rewrite a member word over the subgroup basis.
@@ -148,14 +154,10 @@ class SubgroupGraph:
         Returns a word over ``gen_symbols`` (defaults to ``x0, x1, ...`` in
         the order of :meth:`basis`).  Raises ValueError for non-members.
         """
-        parent, tree = self._tree()
-        nontree = [
-            (s, x, t) for (s, x), t in sorted(self.trans.items()) if (s, x, t) not in tree
-        ]
-        gen_index = {edge: i for i, edge in enumerate(nontree)}
+        gen_index = self._generator_index
         if gen_symbols is None:
-            gen_symbols = [f"x{i}" for i in range(len(nontree))]
-        inn = self._in_map()
+            gen_symbols = [f"x{i}" for i in range(len(gen_index))]
+        inn = self._in_map
         out = []
         state = self.basepoint
         for letter in free_reduce(word):
@@ -182,71 +184,117 @@ class SubgroupGraph:
 
 
 def fold_subgroup_graph(generators, symbols):
-    """Folded core graph of the subgroup generated by the given words."""
+    """Folded core graph of the subgroup generated by the given words.
+
+    Worklist folding (Stallings, "Topology of finite graphs", 1983;
+    Touikan, "A fast algorithm for Stallings' folding process", 2006): each
+    generator enters through ``_Folder.add_loop``, and the folder merges
+    the vertices it has to identify as it goes, so the work is near-linear
+    in the number of letters.  No core trim is needed: a folded graph reads
+    each reduced generator along a reduced loop at the basepoint, so every
+    other vertex lies on at least two edges.
+    """
     symbols = tuple(sorted(symbols))
-    edges = []  # (u, symbol, v)
-    next_vertex = 1
+    folder = _Folder()
     for w in generators:
-        w = free_reduce(tuple(w))
-        prev = 0
-        for i, letter in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else next_vertex
-            if i < len(w) - 1:
-                next_vertex += 1
-            if is_positive(letter):
-                edges.append((prev, letter, nxt))
-            else:
-                edges.append((nxt, base(letter), prev))
-            prev = nxt
+        folder.add_loop(free_reduce(tuple(w)))
+    return folder.graph(symbols).canonical()
 
-    parent = list(range(next_vertex))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+class _Folder:
+    """Labelled graph, folded again after each loop is added.
 
-    def union(x, y):
-        parent[find(x)] = find(y)
+    ``out[v][x]`` and ``inn[v][x]`` hold the far end of v's outgoing and
+    incoming x-edge, for representative vertices v; a stored far end may
+    since have been merged, so it is read through ``find``.  An edge that
+    clashes with a stored one, same vertex and label but another far end,
+    puts the two far ends on ``pending``; ``_drain`` merges such pairs, the
+    vertex with fewer edges into the other, and moving its edges may push
+    further pairs.
+    """
 
-    changed = True
-    while changed:
-        changed = False
-        out = {}
-        inn = {}
-        for u, x, v in edges:
-            u, v = find(u), find(v)
-            if (u, x) in out and find(out[(u, x)]) != v:
-                union(out[(u, x)], v)
-                changed = True
+    def __init__(self):
+        self.out = [{}]
+        self.inn = [{}]
+        self.sets = UnionFind()
+        self.pending = []
+
+    def add_loop(self, word):
+        """Add a loop at the basepoint reading the reduced ``word``.  The
+        longest prefix and suffix the folded graph already reads are
+        followed, not added; only the letters between them get edges."""
+        start = self.sets.find(0)
+        u, i = start, 0
+        while i < len(word):
+            far = self._step(u, word[i])
+            if far is None:
                 break
-            out[(u, x)] = v
-            if (v, x) in inn and find(inn[(v, x)]) != u:
-                union(inn[(v, x)], u)
-                changed = True
+            u, i = far, i + 1
+        v, j = start, len(word)
+        while j > i:
+            far = self._step(v, inv(word[j - 1]))
+            if far is None:
                 break
-            inn[(v, x)] = u
+            v, j = far, j - 1
+        if i == j:
+            self.pending.append((u, v))
+        for k in range(i, j):
+            far = v if k == j - 1 else self._new_vertex()
+            self._add_edge(u, word[k], far)
+            u = far
+        self._drain()
 
-    merged = {(find(u), x, find(v)) for u, x, v in edges}
-    bp = find(0)
-    # core: drop valence-1 vertices other than the basepoint
-    while True:
-        degree = {}
-        for u, x, v in merged:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        removable = {
-            v for v, d in degree.items() if d == 1 and v != bp
-        }
-        if not removable:
-            break
-        merged = {
-            (u, x, v) for u, x, v in merged if u not in removable and v not in removable
-        }
-    states = sorted({bp} | {u for u, _, _ in merged} | {v for _, _, v in merged})
-    trans = {(u, x): v for u, x, v in merged}
-    return SubgroupGraph(symbols, tuple(states), trans, bp).canonical()
+    def _step(self, v, letter):
+        if is_positive(letter):
+            far = self.out[v].get(letter)
+        else:
+            far = self.inn[v].get(base(letter))
+        return None if far is None else self.sets.find(far)
+
+    def _new_vertex(self):
+        self.out.append({})
+        self.inn.append({})
+        return len(self.out) - 1
+
+    def _add_edge(self, u, letter, v):
+        """An edge reading ``letter`` from u to v."""
+        if not is_positive(letter):
+            u, letter, v = v, base(letter), u
+        find = self.sets.find
+        u, v = find(u), find(v)
+        self._attach(self.out[u], letter, v)
+        self._attach(self.inn[v], letter, u)
+
+    def _attach(self, table, x, far):
+        held = table.get(x)
+        if held is None:
+            table[x] = far
+        elif self.sets.find(held) != far:
+            self.pending.append((held, far))
+
+    def _drain(self):
+        find, out, inn = self.sets.find, self.out, self.inn
+        while self.pending:
+            a, b = self.pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if len(out[a]) + len(inn[a]) > len(out[b]) + len(inn[b]):
+                a, b = b, a
+            self.sets.union(a, b)
+            moved_out, moved_in = out[a], inn[a]
+            out[a] = inn[a] = None
+            for x, w in moved_out.items():
+                self._attach(out[b], x, find(w))
+            for x, u in moved_in.items():
+                self._attach(inn[b], x, find(u))
+
+    def graph(self, symbols):
+        """The folded graph, on its representative vertices."""
+        find = self.sets.find
+        states = [v for v, table in enumerate(self.out) if table is not None]
+        trans = {(u, x): find(w) for u in states for x, w in self.out[u].items()}
+        return SubgroupGraph(symbols, tuple(states), trans, find(0))
 
 
 def full_group(symbols):
@@ -328,6 +376,15 @@ class CoveringMap:
 
     def degree(self):
         return len(self.subgroup.states)
+
+    @cached_property
+    def _lifts_from(self):
+        """(base oriented edge, total vertex) -> the lifted oriented edge there."""
+        table = {}
+        for eid, data in self.total.edges.items():
+            table.setdefault((self.edge_projection[eid], data.src), eid)
+            table.setdefault((inv(self.edge_projection[eid]), data.dst), inv(eid))
+        return table
 
     def project_path(self, path):
         out = []
@@ -423,6 +480,10 @@ def image_subgroup(images, H: SubgroupGraph):
     """Folded graph of Phi(H) for an automorphism given by basis images."""
     if not check_automorphism(images, H.symbols):
         raise NotAnAutomorphism()
+    return _fold_image(images, H)
+
+
+def _fold_image(images, H: SubgroupGraph):
     gens = [apply_images(images, w) for w in H.basis()]
     return fold_subgroup_graph(gens, H.symbols)
 
@@ -432,7 +493,8 @@ def smallest_invariant_power(images, H: SubgroupGraph, k_max):
     target = H.key()
     current = H
     for k in range(1, k_max + 1):
-        current = image_subgroup(images, current)
+        # the first step checks that Phi is an automorphism; later ones only fold
+        current = (image_subgroup if k == 1 else _fold_image)(images, current)
         if current.key() == target:
             return k
     return None
@@ -443,10 +505,7 @@ def smallest_invariant_power(images, H: SubgroupGraph, k_max):
 
 def lift_path(cover: CoveringMap, base_path, start_vertex):
     """Unique lift of a base edge path starting at a total-graph vertex."""
-    lifts_from = {}
-    for eid, data in cover.total.edges.items():
-        lifts_from.setdefault((cover.edge_projection[eid], data.src), eid)
-        lifts_from.setdefault((inv(cover.edge_projection[eid]), data.dst), inv(eid))
+    lifts_from = cover._lifts_from
     out = []
     v = start_vertex
     for e in base_path:
@@ -524,7 +583,7 @@ def subgroup_intersection(h1: SubgroupGraph, h2: SubgroupGraph):
     """Folded core of the fiber product (basepoint pair)."""
     if h1.symbols != h2.symbols:
         raise ValueError("subgroups live over different bases")
-    inn1, inn2 = h1._in_map(), h2._in_map()
+    inn1, inn2 = h1._in_map, h2._in_map
     start = (h1.basepoint, h2.basepoint)
     seen = {start}
     queue = [start]
@@ -543,47 +602,33 @@ def subgroup_intersection(h1: SubgroupGraph, h2: SubgroupGraph):
                 seen.add((u1, u2))
                 queue.append((u1, u2))
     sg = SubgroupGraph(h1.symbols, tuple(sorted(seen)), trans, start)
-    # core trim then canonicalize
-    return _core(sg).canonical()
+    return _trim_core(sg).canonical()
 
 
-def _core(sg: SubgroupGraph):
+def _trim_core(sg: SubgroupGraph):
+    """Drop, one after another, the states other than the basepoint that
+    lie on at most one transition (a loop counts twice)."""
+    incident = {s: [] for s in sg.states}
+    for key, t in sg.trans.items():
+        incident[key[0]].append(key)
+        incident[t].append(key)
+    degree = {s: len(keys) for s, keys in incident.items()}
+    stack = [s for s, d in degree.items() if d <= 1 and s != sg.basepoint]
+    removed = set(stack)
     trans = dict(sg.trans)
-    while True:
-        degree = {}
-        for (s, x), t in trans.items():
-            degree[s] = degree.get(s, 0) + 1
-            degree[t] = degree.get(t, 0) + 1
-        removable = {
-            v
-            for v in sg.states
-            if degree.get(v, 0) <= 1 and v != sg.basepoint
-        }
-        if not removable:
-            break
-        trans = {
-            (s, x): t
-            for (s, x), t in trans.items()
-            if s not in removable and t not in removable
-        }
-        sg = SubgroupGraph(
-            sg.symbols,
-            tuple(v for v in sg.states if v not in removable),
-            trans,
-            sg.basepoint,
-        )
-    reachable = {sg.basepoint}
-    queue = [sg.basepoint]
-    inn = sg._in_map()
-    while queue:
-        s = queue.pop(0)
-        for sym in sg.symbols:
-            for t in (sg.trans.get((s, sym)), inn.get((s, sym))):
-                if t is not None and t not in reachable:
-                    reachable.add(t)
-                    queue.append(t)
-    trans = {(s, x): t for (s, x), t in sg.trans.items() if s in reachable}
-    return SubgroupGraph(sg.symbols, tuple(sorted(reachable)), trans, sg.basepoint)
+    while stack:
+        s = stack.pop()
+        for key in incident[s]:
+            t = trans.pop(key, None)
+            if t is None:
+                continue
+            other = t if key[0] == s else key[0]
+            degree[other] -= 1
+            if degree[other] <= 1 and other != sg.basepoint and other not in removed:
+                removed.add(other)
+                stack.append(other)
+    states = tuple(s for s in sg.states if s not in removed)
+    return SubgroupGraph(sg.symbols, states, trans, sg.basepoint)
 
 
 # --- unique extension (finite-index rigidity) ---------------------------

@@ -10,6 +10,7 @@ from functools import cached_property
 
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
+from .unionfind import UnionFind
 from .words import (
     _cyclic_start,
     _Inverses,
@@ -214,17 +215,7 @@ def gate_partition(f: GraphMap):
     g = f.domain
     dirs = f.directions()
     dmap = {d: f.direction_image(d) for d in dirs}
-    parent = {d: d for d in dirs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    sets = UnionFind()
     images = {d: d for d in dirs}
     for _ in range(2 * len(dirs)):
         images = {d: dmap[images[d]] for d in dirs}
@@ -235,10 +226,10 @@ def gate_partition(f: GraphMap):
                 by_image.setdefault(images[d], []).append(d)
             for group in by_image.values():
                 for d in group[1:]:
-                    union(group[0], d)
+                    sets.union(group[0], d)
     classes = {}
     for d in dirs:
-        classes.setdefault(find(d), []).append(d)
+        classes.setdefault(sets.find(d), []).append(d)
     return tuple(sorted(frozenset(c) for c in classes.values()))
 
 
@@ -372,7 +363,7 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
 
     mat = transition_matrix(f)
     try:
-        sf, _, _ = pf_data(mat)
+        sf, _ = pf_data(mat)
     except ZeroMatrix:
         return []
     if not sf.expanding:

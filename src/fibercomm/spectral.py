@@ -585,8 +585,7 @@ def pf_data(mat):
     """Stretch factor data: char poly, PF root enclosure, minimal factor.
 
     ``mat`` is any nested sequence of integers.  Returns
-    ``(StretchFactor, irreducible_flag, eigenvector_approx)`` where the
-    eigenvector is a rational approximation of a right PF eigenvector.
+    ``(StretchFactor, irreducible_flag)``.
     """
     rows = _int_rows(mat)
     if not any(any(row) for row in rows):
@@ -596,15 +595,7 @@ def pf_data(mat):
     sf = StretchFactor(cp, tuple(min_poly), (lo, hi), expanding=lo > 1)
     from .maps import is_irreducible_matrix  # local: avoid import cycle
 
-    irreducible = is_irreducible_matrix(rows)
-    eigvec = _pf_eigenvector_approx(rows, sf)
-    return sf, irreducible, eigvec
-
-
-def _pf_eigenvector_approx(mat, sf: StretchFactor):
-    field = sf.field()
-    vec = pf_right_eigenvector(mat, field)
-    return [field.approx(v) for v in vec]
+    return sf, is_irreducible_matrix(rows)
 
 
 def _solve_eigen(rows, field):
@@ -670,7 +661,8 @@ def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):
 
     ``Rational(p/q)`` is returned in lowest terms iff ``lam1^p = lam2^q``
     exactly, certified by ``_algebraic_power_equal``; a float ratio only
-    prefilters candidate pairs.
+    prefilters candidate pairs.  ``denom_bound`` bounds q only: for each q
+    the one candidate p is the rounded ratio, however large.
     """
     if not (s1.expanding and s2.expanding):
         raise ValueError("log_ratio requires both PF roots > 1 (no expansion)")
@@ -678,7 +670,7 @@ def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):
     target = math.log(l2) / math.log(l1)
     for q in range(1, denom_bound + 1):
         p = round(q * target)
-        if p < 1 or p > denom_bound:
+        if p < 1:
             continue
         if math.gcd(p, q) != 1:
             continue

@@ -59,7 +59,7 @@ PLASTIC = Fraction("1.3247179572")
 
 def test_criterion_01_fib_stretch_factor(fib):
     start = time.monotonic()
-    sf, irreducible, _ = pf_data(transition_matrix(fib))
+    sf, irreducible = pf_data(transition_matrix(fib))
     assert sf.char_poly == (-1, -1, 1)  # x^2 - x - 1
     lo, hi = sf.enclosure
     # the enclosure pins the stated 10-digit decimal 1.6180339887
@@ -70,7 +70,7 @@ def test_criterion_01_fib_stretch_factor(fib):
 
 def test_criterion_02_plast_stretch_factor(plast):
     start = time.monotonic()
-    sf, irreducible, _ = pf_data(transition_matrix(plast))
+    sf, irreducible = pf_data(transition_matrix(plast))
     assert sf.char_poly == (-1, -1, 0, 1)  # x^3 - x - 1
     lo, hi = sf.enclosure
     assert PLASTIC <= hi and lo <= PLASTIC + Fraction(1, 10**10)
@@ -81,7 +81,7 @@ def test_criterion_02_plast_stretch_factor(plast):
 def test_criterion_03_cover_suite(fib):
     start = time.monotonic()
     images = induced_outer_automorphism(fib)
-    s_base, _, _ = pf_data(transition_matrix(fib))
+    s_base, _ = pf_data(transition_matrix(fib))
     subs = enumerate_subgroups(2, 2)
     assert len(subs) == 3
     for H in subs:
@@ -89,7 +89,7 @@ def test_criterion_03_cover_suite(fib):
         cover = build_cover(fib.domain, H)
         lifted = lift_map(fib, cover, 3)
         assert lifted is not None
-        s_lift, _, _ = pf_data(transition_matrix(lifted))
+        s_lift, _ = pf_data(transition_matrix(lifted))
         verdict = log_ratio(s_base, s_lift)
         assert verdict.rational and verdict.ratio == Fraction(3, 1)
         assert rank(cover.total) == 3
@@ -150,8 +150,8 @@ def test_criterion_07_fold_suite(foldme):
 
     for e in foldme.domain.edges:
         assert push(foldme.edge_image(e)) == folded.edge_image(event.quotient[e])
-    before, _, _ = pf_data(transition_matrix(foldme))
-    after, _, _ = pf_data(transition_matrix(folded))
+    before, _ = pf_data(transition_matrix(foldme))
+    after, _ = pf_data(transition_matrix(folded))
     assert max(before.enclosure[0], after.enclosure[0]) <= min(
         before.enclosure[1], after.enclosure[1]
     )

@@ -8,7 +8,7 @@ import pytest
 import fibercomm
 from fibercomm.cli import main
 from fibercomm.covers import build_cover, enumerate_subgroups, lift_map
-from fibercomm.maps import map_to_json_dict
+from fibercomm.maps import map_power, map_to_json_dict
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,8 @@ def fixture_dir(tmp_path_factory, fib, plast):
         ),
     )
     lift3 = lift_map(fib, cover, 3)
-    for name, f in (("FIB", fib), ("PLAST", plast), ("lift3", lift3)):
+    maps = (("FIB", fib), ("PLAST", plast), ("PLAST21", map_power(plast, 21)), ("lift3", lift3))
+    for name, f in maps:
         (d / f"{name}.json").write_text(
             json.dumps(map_to_json_dict(f), sort_keys=True, indent=2)
         )
@@ -122,6 +123,19 @@ def test_compare_and_replay(fixture_dir, tmp_path):
         ]
     )
     assert code == 0
+    assert json.loads(replay_out.read_text())["replay"] is True
+
+
+def test_compare_power_past_denominator_bound(fixture_dir, tmp_path):
+    out = tmp_path / "compare.json"
+    maps = [str(fixture_dir / "PLAST21.json"), str(fixture_dir / "PLAST.json")]
+    assert main(["compare", *maps, "--k-max", "21", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["covers"] and report["witness"]["k"] == 21
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(report["witness"]))
+    replay_out = tmp_path / "replay.json"
+    assert main(["compare", *maps, "--replay", str(cert), "--out", str(replay_out)]) == 0
     assert json.loads(replay_out.read_text())["replay"] is True
 
 

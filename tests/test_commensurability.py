@@ -87,6 +87,15 @@ def test_replay_rejects_tampering(psi, phi):
     assert not replay_witness(wrong_k, psi, phi)
 
 
+def test_power_past_denominator_bound_covers(fib, phi):
+    # log_ratio(phi, phi^21) = 21 lies past denom_bound = 20; it must still
+    # force k = 21 rather than read as an irrational ratio
+    psi = from_graph_map(map_power(fib, 21))
+    witness = covers_relation(psi, phi, k_max=21)
+    assert witness is not None and witness.k == 21
+    assert replay_witness(witness, psi, phi)
+
+
 def test_rank_gate(phi, psi):
     # rank 2 cannot cover rank 3: (2-1)/(3-1) is not a positive integer
     assert covers_relation(phi, psi, k_max=3) is None

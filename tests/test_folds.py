@@ -39,8 +39,8 @@ def test_fold_commutes_edge_by_edge(foldme):
 
 def test_fold_preserves_stretch_factor(foldme):
     folded, _ = stallings_fold(foldme, "e1", "e2")
-    before, _, _ = pf_data(transition_matrix(foldme))
-    after, _, _ = pf_data(transition_matrix(folded))
+    before, _ = pf_data(transition_matrix(foldme))
+    after, _ = pf_data(transition_matrix(folded))
     # both enclosures trap the same algebraic number
     assert max(before.enclosure[0], after.enclosure[0]) <= min(
         before.enclosure[1], after.enclosure[1]

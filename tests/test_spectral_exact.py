@@ -73,7 +73,7 @@ def assert_same_as_oracle(mat):
         return
     ref, ref_irreducible = old.pf_data(mat)
     assert spectral.char_poly_coeffs(mat) == old.char_poly_coeffs(mat)
-    sf, irreducible, _ = spectral.pf_data(mat)
+    sf, irreducible = spectral.pf_data(mat)
     assert sf.char_poly == ref.char_poly
     assert sf.min_poly == ref.min_poly
     assert sf.expanding == ref.expanding
@@ -123,7 +123,7 @@ def test_cover_lifts_match_oracle(lifts, name):
 
 def test_numpy_input_is_accepted():
     mat = np.array([[1, 1], [1, 0]], dtype=np.int64)
-    sf, irreducible, _ = spectral.pf_data(mat)
+    sf, irreducible = spectral.pf_data(mat)
     assert sf.char_poly == (-1, -1, 1) and irreducible
     assert spectral.char_poly_coeffs(mat) == (-1, -1, 1)
 
@@ -138,7 +138,7 @@ def test_enclosure_shrinks_to_isolate_close_roots():
     companion = [[int(i == j + 1) for j in range(7)] for i in range(7)]
     for i in range(7):
         companion[i][6] = -cp[i]
-    sf, _, _ = spectral.pf_data(companion)
+    sf, _ = spectral.pf_data(companion)
     assert sf.min_poly == tuple(cp) and sf.expanding
     lo, hi = sf.enclosure
     assert 0 < hi - lo < spectral.ENCLOSURE_WIDTH
