@@ -13,12 +13,12 @@ from fractions import Fraction
 from .covers import (
     CoveringMap,
     SubgroupGraph,
+    _fold_image,
     build_cover,
     check_automorphism,
     enumerate_subgroups,
     fold_subgroup_graph,
     full_group,
-    image_subgroup,
     lift_map,
     restriction_images,
     smallest_invariant_power,
@@ -164,8 +164,8 @@ class CoveringWitness:
 def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterAutomorphism):
     """Independent verification of a covering witness by word computation."""
     H = witness.subgroup
-    phik = power_images(phi.images, witness.k)
-    if image_subgroup(phik, H).key() != H.canonical().key():
+    phik, image = _power_image(phi, witness.k, H)
+    if image.key() != H.canonical().key():
         return False
     gamma = witness.inner_conjugator
     for s in psi.symbols:
@@ -183,6 +183,18 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
     words = [witness.identification[s] for s in psi.symbols]
     sub = fold_subgroup_graph(words, H.symbols)
     return sub.key() == H.canonical().key()
+
+
+def _power_image(phi: OuterAutomorphism, k, H: SubgroupGraph):
+    """Phi^k's basis images and the folded graph of Phi^k(H).
+
+    Phi^k is an automorphism iff Phi is (F_n is Hopfian), so only Phi's own
+    short images are folded for the check, not the long ones of Phi^k.
+    """
+    if not check_automorphism(phi.images, phi.symbols):
+        raise NotAnAutomorphism()
+    phik = power_images(phi.images, k)
+    return phik, _fold_image(phik, H)
 
 
 def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_bound=20):
@@ -256,8 +268,8 @@ def _identifications(psi, H: SubgroupGraph, m):
 
 def _match_restriction(psi, phi, H: SubgroupGraph, k, ident, conj_cap):
     H = H.canonical()
-    phik = power_images(phi.images, k)
-    if image_subgroup(phik, H).key() != H.key():
+    phik, image = _power_image(phi, k, H)
+    if image.key() != H.key():
         return None
     # equations: Phi^k(ident(s)) = gamma * ident(psi(s)) * gamma^-1
     eqs = []

@@ -125,24 +125,26 @@ class MarkedGraph:
 
     # --- marking -------------------------------------------------------
 
-    def tree_adjacency(self):
+    @cached_property
+    def _tree_adjacency(self):
+        """Vertex -> sorted (oriented tree edge, far end) pairs."""
         adj = {v: [] for v in self.vertices}
         for e in self.spanning_tree:
             data = self.edges[e]
             adj[data.src].append((e, data.dst))
             adj[data.dst].append((inv(e), data.src))
-        return adj
+        return {v: sorted(out) for v, out in adj.items()}
 
     def tree_path(self, u, v):
         """Reduced edge path from u to v inside the spanning tree."""
         if u == v:
             return ()
-        adj = self.tree_adjacency()
+        adj = self._tree_adjacency
         prev = {u: None}
         stack = [u]
         while stack:
             x = stack.pop()
-            for e, y in sorted(adj[x]):
+            for e, y in adj[x]:
                 if y not in prev:
                     prev[y] = (x, e)
                     stack.append(y)

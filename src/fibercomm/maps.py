@@ -5,6 +5,7 @@ turn set, so every verdict here is exact.  Stretch-factor data for the
 transition matrix lives in :mod:`fibercomm.spectral`.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -283,16 +284,12 @@ def induced_outer_automorphism(f: GraphMap, basepoint=None, check=True):
         loop = word_to_loop(g, (symbol,), basepoint)
         image_loop = free_reduce(out + apply_map(f, loop) + back)
         images[symbol] = loop_to_word(g, image_loop, basepoint)
-    if check and not _is_automorphism(g.basis_symbols(), images):
-        raise NotHomotopyEquivalence("basis images do not generate the full group")
+    if check:
+        from .covers import check_automorphism  # local: avoids cycle
+
+        if not check_automorphism(images, g.basis_symbols()):
+            raise NotHomotopyEquivalence("basis images do not generate the full group")
     return images
-
-
-def _is_automorphism(symbols, images):
-    from .covers import fold_subgroup_graph  # local: avoids cycle
-
-    sg = fold_subgroup_graph(list(images.values()), symbols)
-    return sg.is_complete() and sg.index() == 1
 
 
 # --- Nielsen paths ------------------------------------------------------
@@ -312,23 +309,6 @@ class NielsenPath:
     indivisible: bool = True
 
 
-def _edge_paths(g: MarkedGraph, max_len):
-    """All nonempty reduced edge paths up to max_len, (length, lex) ordered."""
-    frontier = [((d,), g.edge_dst(d)) for d in sorted(g.oriented_edges())]
-    out_of = {v: sorted(g.edges_at(v)) for _, v in frontier}
-    while frontier:
-        for path, _ in frontier:
-            yield path
-        if len(frontier[0][0]) == max_len:
-            return
-        nxt = []
-        for path, v in frontier:
-            for d in out_of[v]:
-                if d != inv(path[-1]):
-                    nxt.append((path + (d,), g.edge_dst(d)))
-        frontier = nxt
-
-
 def _common_path_prefix(p1, p2):
     n = 0
     for a, b in zip(p1, p2):
@@ -339,21 +319,110 @@ def _common_path_prefix(p1, p2):
 
 
 def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
-    found = {}
-    for sigma in _edge_paths(f.domain, length_bound):
-        if inverse(sigma) in found:
-            continue
-        path = sigma
+    """Reduced edge paths sigma of length <= length_bound with
+    f^p_#(sigma) = sigma for some p <= period_bound, with the least such p.
+
+    Of sigma and its reverse (both periodic or neither) only the smaller
+    is kept; the list is in (length, path) order.  Paths are walked depth
+    first; each carries its tightened images f_#, ..., f^P_# as persistent
+    stacks (``_append``), so one more edge costs only the letters it adds.
+    The extensions of a path are skipped when ``_beyond_reach`` shows that
+    none can be periodic.
+    """
+    g = f.domain
+    if period_bound < 1 or length_bound < 1:
+        return []
+    images, inverse_of = f._images, f._inverses
+    root = None
+    for _ in range(period_bound):
+        root = [None, None, 0, root]
+    starts = sorted(g.oriented_edges())
+    alone = {d: _append(root, images[d], period_bound, images, inverse_of) for d in starts}
+    reach = [max(m) for m in zip(*map(_image_lengths, alone.values()))]
+    follow = {
+        d: [e for e in sorted(g.edges_at(g.edge_dst(d))) if e != inverse_of[d]] for d in starts
+    }
+    found = []
+    stack = [((d,), alone[d]) for d in reversed(starts)]
+    while stack:
+        sigma, top = stack.pop()
+        n = len(sigma)
+        level = top
         for p in range(1, period_bound + 1):
-            path = apply_map(f, path)
-            if path == sigma:
-                found[sigma] = p
+            if level[2] == n and _spells(level, sigma):
+                if sigma < inverse(sigma):
+                    found.append((sigma, p))
                 break
-    out = []
-    for sigma, p in found.items():
-        u, v = f.domain.path_src(sigma), f.domain.path_dst(sigma)
-        out.append((sigma, p, (("vertex", u), ("vertex", v))))
-    return out
+            level = level[3]
+        left = length_bound - n
+        if not left or _beyond_reach(_image_lengths(top), reach, left, length_bound):
+            continue
+        for d in reversed(follow[sigma[-1]]):
+            stack.append((sigma + (d,), _append(top, images[d], period_bound, images, inverse_of)))
+    found.sort(key=lambda hit: (len(hit[0]), hit[0]))
+    return [
+        (sigma, p, (("vertex", g.path_src(sigma)), ("vertex", g.path_dst(sigma))))
+        for sigma, p in found
+    ]
+
+
+def _append(top, word, levels, images, inverse_of):
+    """Persistent tightening stacks of a path extended by ``word``.
+
+    A stack node is a list ``[letter, parent, length, below]`` and stands
+    for the word spelled from the bottom of its level up to it; ``below`` is
+    the top of the next level for the f_#-image of that word.  The top of
+    level i spells f^i_# of the path.  A cancellation returns to the
+    parent, whose ``below`` is already right; each new node's ``below`` is
+    built on the next pass by appending the image of its letter.  Each
+    level's bottom is a sentinel with letter None and length 0.
+    """
+    new = []
+    top = _push(top, word, inverse_of, new)
+    for _ in range(levels - 1):
+        fresh = []
+        for node in new:
+            node[3] = _push(node[1][3], images[node[0]], inverse_of, fresh)
+        new = fresh
+    return top
+
+
+def _push(top, word, inverse_of, new):
+    for y in word:
+        if top[0] == inverse_of[y]:
+            top = top[1]
+        else:
+            top = [y, top, top[2] + 1, None]
+            new.append(top)
+    return top
+
+
+def _image_lengths(top):
+    lengths = []
+    while top is not None:
+        lengths.append(top[2])
+        top = top[3]
+    return lengths
+
+
+def _spells(top, path):
+    """Whether the stack ending at ``top`` spells ``path`` (same length assumed)."""
+    for x in reversed(path):
+        if top[0] != x:
+            return False
+        top = top[1]
+    return True
+
+
+def _beyond_reach(lengths, reach, left, bound):
+    """Whether no extension of a path by at most ``left`` edges is periodic.
+
+    ``lengths[i]`` is |f^(i+1)_#(sigma)| and ``reach[i]`` the longest
+    f^(i+1)_#-image of an edge.  f^p_#(sigma rho) is the tightened product
+    f^p_#(sigma) f^p_#(rho), so its length is at least
+    |f^p_#(sigma)| - left * reach; periodic paths have length <= bound.
+    """
+    return all(n - left * m > bound for n, m in zip(lengths, reach))
 
 
 def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
@@ -377,8 +446,8 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
 
     def metric(path):
         total = field.zero()
-        for d in path:
-            total = field.add(total, ell[base(d)])
+        for e, n in Counter(map(base, path)).items():
+            total = field.add(total, field.scale(ell[e], n))
         return total
 
     bad = illegal_turns(f)
@@ -464,7 +533,7 @@ def _grow_legs(f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell
             continue
         # branch on extending whichever leg is metrically short
         for leg, other, first in ((alpha, beta, True), (beta, alpha, False)):
-            if field.lt(metric(leg), field.div(metric(tau), denom)):
+            if field.lt(metric(leg), target):
                 for d in legal_next[leg[-1]]:
                     ext = leg + (d,)
                     stack.append((ext, other) if first else (other, ext))

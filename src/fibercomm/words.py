@@ -5,8 +5,6 @@ and ``"~a"`` is its inverse; the same convention is used for oriented edges
 elsewhere, so paths and words share all the reduction machinery here.
 """
 
-from itertools import product
-
 Word = tuple  # tuple of oriented letters
 
 
@@ -164,15 +162,27 @@ def power_images(images, n):
 
 
 def enumerate_reduced_words(symbols, max_len, cyclically_reduced=False):
-    """All nonempty reduced words up to ``max_len``, ordered by (length, lex)."""
+    """All nonempty reduced words up to ``max_len``, ordered by (length, lex).
+
+    Lex is the order of the letters a, ~a, b, ~b, ... (symbols sorted).
+    Each length is walked depth first, one letter at a time, so no level of
+    words is ever held in memory.
+    """
     letters = []
     for s in sorted(symbols):
         letters.append(s)
         letters.append(inv(s))
+    follow = {x: [y for y in letters if y != inv(x)] for x in letters}
     for n in range(1, max_len + 1):
-        for combo in product(letters, repeat=n):
-            if not is_reduced(combo):
-                continue
-            if cyclically_reduced and not is_cyclically_reduced(combo):
-                continue
-            yield combo
+        word, branches = [], [iter(letters)]
+        while branches:
+            x = next(branches[-1], None)
+            if x is None:
+                branches.pop()
+                if word:
+                    word.pop()
+            elif len(word) + 1 < n:
+                word.append(x)
+                branches.append(iter(follow[x]))
+            elif not (cyclically_reduced and word and word[0] == inv(x)):
+                yield (*word, x)

@@ -1,18 +1,20 @@
 """Reference copies of the letter-by-letter word and path kernels.
 
-These are the implementations the table-driven kernels in ``fibercomm.words``
-and ``fibercomm.maps`` replaced, kept unchanged as a test oracle.  The only
-edits: ``GraphMap.edge_image``, ``MarkedGraph.oriented_edges`` and
-``MarkedGraph.edges_at`` became module functions taking the map or graph,
-and the functions call each other by their names here.  The helpers these
-functions call and that did not change (``path_src``, ``edge_dst``,
-``enumerate_reduced_words``, ``cyclic_rotations`` and
+These are the implementations the table-driven kernels and the incremental
+searches in ``fibercomm.words`` and ``fibercomm.maps`` replaced, kept
+unchanged as a test oracle.  The only edits: ``GraphMap.edge_image``,
+``MarkedGraph.oriented_edges`` and ``MarkedGraph.edges_at`` became module
+functions taking the map or graph, and the functions call each other by
+their names here.  The helpers these functions call and that did not change
+(``path_src``, ``edge_dst``, ``cyclic_rotations`` and
 ``induced_outer_automorphism``) come from the package.
 """
 
+from itertools import product
+
 from fibercomm.errors import UnknownEdge
 from fibercomm.maps import ToroidalityVerdict, induced_outer_automorphism
-from fibercomm.words import cyclic_rotations, enumerate_reduced_words
+from fibercomm.words import cyclic_rotations
 
 
 def inv(letter):
@@ -66,6 +68,31 @@ def cyclic_reduce(word):
         pre.append(w[0])
         w = w[1:-1]
     return tuple(w), tuple(pre)
+
+
+def is_reduced(word):
+    return all(word[i + 1] != inv(word[i]) for i in range(len(word) - 1))
+
+
+def is_cyclically_reduced(word):
+    if not is_reduced(word):
+        return False
+    return not (len(word) >= 2 and word[0] == inv(word[-1]))
+
+
+def enumerate_reduced_words(symbols, max_len, cyclically_reduced=False):
+    """All nonempty reduced words up to ``max_len``, ordered by (length, lex)."""
+    letters = []
+    for s in sorted(symbols):
+        letters.append(s)
+        letters.append(inv(s))
+    for n in range(1, max_len + 1):
+        for combo in product(letters, repeat=n):
+            if not is_reduced(combo):
+                continue
+            if cyclically_reduced and not is_cyclically_reduced(combo):
+                continue
+            yield combo
 
 
 def apply_images(images, word):

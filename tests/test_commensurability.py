@@ -25,8 +25,8 @@ from fibercomm.covers import (
     lift_map,
     smallest_invariant_power,
 )
-from fibercomm import whitehead
-from fibercomm.errors import NotCommensurableRatio, NotRotationless
+from fibercomm import commensurability, whitehead
+from fibercomm.errors import NotAnAutomorphism, NotCommensurableRatio, NotRotationless
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import (
@@ -85,6 +85,30 @@ def test_replay_rejects_tampering(psi, phi):
     assert not replay_witness(tampered, psi, phi)
     wrong_k = CoveringWitness(w.subgroup, w.k + 3, w.inner_conjugator, w.identification)
     assert not replay_witness(wrong_k, psi, phi)
+
+
+def test_witness_checks_only_phi_own_images(psi, phi, monkeypatch):
+    w = covers_relation(psi, phi, k_max=3)
+    checked = []
+    check = commensurability.check_automorphism
+
+    def recorded(images, symbols):
+        checked.append(images)
+        return check(images, symbols)
+
+    monkeypatch.setattr(commensurability, "check_automorphism", recorded)
+    assert replay_witness(w, psi, phi)
+    assert commensurability._match_restriction(psi, phi, w.subgroup, w.k, w.identification, 16) == w
+    assert checked and all(images == phi.images for images in checked)
+
+
+def test_non_automorphism_is_still_rejected(psi, phi):
+    w = covers_relation(psi, phi, k_max=3)
+    squash = OuterAutomorphism({"a": ("a", "a"), "b": ("b",)})
+    with pytest.raises(NotAnAutomorphism):
+        replay_witness(w, psi, squash)
+    with pytest.raises(NotAnAutomorphism):
+        commensurability._match_restriction(psi, squash, w.subgroup, w.k, w.identification, 16)
 
 
 def test_power_past_denominator_bound_covers(fib, phi):

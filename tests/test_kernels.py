@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_oracle as old
 from fibercomm import maps, words
 from fibercomm.errors import UnknownEdge
-from fibercomm.graph import rose
+from fibercomm.graph import MarkedGraph, OrientedEdge, rose
 from fibercomm.maps import GraphMap, induced_outer_automorphism, map_power
 from fibercomm.whitehead import rotationless_power
 
@@ -165,3 +165,131 @@ def test_nielsen_search_matches_oracle(kernel_maps, name, monkeypatch):
 def test_toroidality_search_matches_oracle(kernel_maps, name):
     f = kernel_maps[name]
     assert maps.is_atoroidal(f, P_MAX, LENGTH_BOUND) == old.is_atoroidal(f, P_MAX, LENGTH_BOUND)
+
+
+# --- incremental searches on random inputs ----------------------------------
+
+
+SYMBOLS = ("a", "b", "c", "x", "y0", "e@0", "e@1")
+
+
+@given(
+    symbols=st.sets(st.sampled_from(SYMBOLS), min_size=1, max_size=4),
+    max_len=st.integers(min_value=0, max_value=5),
+    cyclic=st.booleans(),
+)
+@SETTINGS
+def test_enumerate_reduced_words_matches_oracle(symbols, max_len, cyclic):
+    new = words.enumerate_reduced_words(symbols, max_len, cyclically_reduced=cyclic)
+    assert list(new) == list(old.enumerate_reduced_words(symbols, max_len, cyclic))
+
+
+def _walk(g, start, picks):
+    """Reduced edge path from ``start`` that follows ``picks`` (modulo the options)."""
+    path, v = [], start
+    for c in picks:
+        options = [d for d in sorted(g.edges_at(v)) if not path or d != words.inv(path[-1])]
+        if not options:
+            break
+        path.append(options[c % len(options)])
+        v = g.edge_dst(path[-1])
+    return tuple(path)
+
+
+@st.composite
+def marked_graphs(draw):
+    """Connected graph on 1-3 vertices: a spanning tree t1.. plus 1-3 loops or
+    links x1..; at most three edges in all, so paths of length 6 stay few."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vertices = [f"v{i}" for i in range(n)]
+    edges = {}
+    for i in range(1, n):
+        ends = (vertices[i], vertices[draw(st.integers(min_value=0, max_value=i - 1))])
+        src, dst = ends if draw(st.booleans()) else ends[::-1]
+        edges[f"t{i}"] = OrientedEdge(f"t{i}", src, dst)
+    for i in range(1, draw(st.integers(min_value=1, max_value=4 - n)) + 1):
+        src, dst = (vertices[draw(st.integers(min_value=0, max_value=n - 1))] for _ in "sd")
+        edges[f"x{i}"] = OrientedEdge(f"x{i}", src, dst)
+    return MarkedGraph(tuple(vertices), edges, frozenset(e for e in edges if e[0] == "t"))
+
+
+@st.composite
+def graph_maps(draw):
+    """Identity maps, signed petal permutations of a rose, and arbitrary
+    graph maps (each edge to a reduced path between the image vertices,
+    train track or not)."""
+    kind = draw(st.sampled_from(("identity", "permutation", "arbitrary")))
+    if kind == "permutation":
+        petals = ("a", "b", "c")[: draw(st.integers(min_value=1, max_value=3))]
+        order = draw(st.permutations(petals))
+        signs = draw(st.lists(st.booleans(), min_size=len(petals), max_size=len(petals)))
+        images = {p: (q if s else words.inv(q),) for p, q, s in zip(petals, order, signs)}
+        return GraphMap(rose(petals), {"v0": "v0"}, images)
+    g = draw(marked_graphs())
+    if kind == "identity":
+        return maps.identity_map(g)
+    vertex_map = {v: draw(st.sampled_from(g.vertices)) for v in g.vertices}
+    loop_edge = next(e for e in sorted(g.edges) if e[0] == "x")
+    edge_map = {}
+    for e in sorted(g.edges):
+        start, end = vertex_map[g.edge_src(e)], vertex_map[g.edge_dst(e)]
+        walk = _walk(g, start, draw(st.lists(st.integers(min_value=0, max_value=9), max_size=3)))
+        image = words.free_reduce(walk + g.tree_path(g.path_dst(walk) or start, end))
+        if not image:  # a closed walk that cancelled: go round a non-tree edge instead
+            image = words.free_reduce(
+                g.tree_path(start, g.edge_src(loop_edge))
+                + (loop_edge,)
+                + g.tree_path(g.edge_dst(loop_edge), start)
+            )
+        edge_map[e] = image
+    return GraphMap(g, vertex_map, edge_map)
+
+
+@given(
+    f=graph_maps(),
+    period_bound=st.integers(min_value=1, max_value=3),
+    length_bound=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_nielsen_search_matches_oracle_on_random_maps(f, period_bound, length_bound):
+    assert f.validate() == []
+    new = maps._vertex_nielsen_paths(f, period_bound, length_bound)
+    assert new == old._vertex_nielsen_paths(f, period_bound, length_bound)
+    found = maps.find_nielsen_paths(f, period_bound, length_bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "apply_map", old.apply_map)
+        patch.setattr(maps, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
+        assert found == maps.find_nielsen_paths(f, period_bound, length_bound)
+
+
+def test_prune_keeps_a_bound_equal_to_the_length_bound():
+    # |f_#(sigma)| = 7, one edge left, edge images of length <= 2: the
+    # extension could still have an image of length 7 - 2 = 5 = L.
+    assert not maps._beyond_reach([7], [2], 1, 5)
+    assert maps._beyond_reach([8], [2], 1, 5)
+    # every period must be out of reach, not just one
+    assert not maps._beyond_reach([8, 9], [2, 4], 1, 5)
+    assert maps._beyond_reach([8, 10], [2, 4], 1, 5)
+
+
+def test_nielsen_search_at_a_large_period_bound():
+    # a -> b, b -> a: every path returns after two steps; 3000 levels must
+    # not recurse
+    swap = GraphMap(rose(("a", "b")), {"v0": "v0"}, {"a": ("b",), "b": ("a",)})
+    found = maps._vertex_nielsen_paths(swap, 3000, 2)
+    assert found == old._vertex_nielsen_paths(swap, 3000, 2)
+    assert {p for _, p, _ in found} == {2}
+
+
+@given(g=marked_graphs())
+@SETTINGS
+def test_tree_path_is_the_reduced_tree_path(g):
+    # in a tree the reduced path between two vertices is unique
+    for u in g.vertices:
+        for v in g.vertices:
+            path = g.tree_path(u, v)
+            assert all(words.base(d) in g.spanning_tree for d in path)
+            assert words.free_reduce(path) == path
+            g.check_path(path)
+            assert (g.path_src(path), g.path_dst(path)) == ((u, v) if path else (None, None))
+            assert bool(path) == (u != v)
