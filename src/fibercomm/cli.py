@@ -63,6 +63,42 @@ def _load_map(path):
     return f
 
 
+def _word(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise _InputError(f"{what} is not a word (a list of letters)")
+    return tuple(value)
+
+
+def _load_certificate(path):
+    """The covering witness a ``compare`` wrote, checked for shape only."""
+    from .commensurability import CoveringWitness
+    from .covers import subgroup_from_json_dict
+
+    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise _InputError(f"{path}: expected a certificate object")
+    missing = [key for key in ("H", "k", "inner_conjugator", "identification") if key not in d]
+    if missing:
+        raise _InputError(f"{path}: certificate lacks {', '.join(missing)}")
+    k, identification = d["k"], d["identification"]
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise _InputError(f"{path}: k must be a positive integer")
+    if not isinstance(identification, dict):
+        raise _InputError(f"{path}: identification must map symbols to words")
+    try:
+        H = subgroup_from_json_dict(d["H"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _InputError(f"{path}: H is not a subgroup graph: {exc!r}")
+    if any(x not in H.symbols for _, x in H.trans):
+        raise _InputError(f"{path}: H has an edge label outside its symbols")
+    return CoveringWitness(
+        H,
+        k,
+        _word(d["inner_conjugator"], f"{path}: inner_conjugator"),
+        {s: _word(w, f"{path}: identification of {s}") for s, w in identification.items()},
+    )
+
+
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -202,26 +238,12 @@ def _cmd_cover(args):
 
 
 def _cmd_compare(args):
-    from .commensurability import (
-        CoveringWitness,
-        covers_relation,
-        from_graph_map,
-        greater_than,
-        replay_witness,
-    )
-    from .covers import subgroup_from_json_dict
+    from .commensurability import from_graph_map, greater_than, replay_witness
 
     psi = from_graph_map(_load_map(args.input))
     phi = from_graph_map(_load_map(args.other))
     if args.replay:
-        cert = _load_json(args.replay)
-        w = CoveringWitness(
-            subgroup_from_json_dict(cert["H"]),
-            cert["k"],
-            tuple(cert["inner_conjugator"]),
-            {s: tuple(w) for s, w in cert["identification"].items()},
-        )
-        ok = replay_witness(w, psi, phi)
+        ok = replay_witness(_load_certificate(args.replay), psi, phi)
         _emit(_dump({"replay": ok}), args.out)
         return EXIT_OK if ok else EXIT_NEGATIVE
     result = greater_than(psi, phi, args.k_max, args.p_max)

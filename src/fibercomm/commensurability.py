@@ -7,7 +7,6 @@ is exact.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covers import (
@@ -41,6 +40,7 @@ from .maps import (
     map_power,
     transition_matrix,
 )
+from .record import record
 from .unionfind import UnionFind
 from .words import (
     apply_images,
@@ -59,7 +59,7 @@ from .words import (
 # --- outer automorphisms -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OuterAutomorphism:
     images: dict  # basis symbol -> word
     representative: GraphMap = None  # optional attached graph self-map
@@ -141,7 +141,7 @@ def invert_images(images, length_cap=24, state_cap=200000):
 # --- covering witnesses --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CoveringWitness:
     subgroup: SubgroupGraph
     k: int
@@ -391,7 +391,7 @@ def compose_witnesses(
 # --- commensurability ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CommonCoverCertificate:
     phi3: OuterAutomorphism
     p1: int
@@ -492,7 +492,7 @@ def _candidate_automorphisms(symbols, max_len):
 # --- quotient descent ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuotientResult:
     quotient: MarkedGraph
     induced: GraphMap

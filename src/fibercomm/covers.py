@@ -5,7 +5,6 @@ whose transitions are labeled by basis symbols.  Subgroups are tracked up
 to equality (canonical coset-table form), not conjugacy.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 
@@ -17,6 +16,7 @@ from .errors import (
     SolverBound,
 )
 from .graph import MarkedGraph, OrientedEdge, loop_to_word
+from .record import record
 from .unionfind import UnionFind
 from .words import (
     apply_images,
@@ -30,7 +30,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SubgroupGraph:
     """Based folded core graph; ``trans[(state, symbol)] = state`` for
     positive symbols only (inverse transitions are implicit)."""
@@ -365,7 +365,7 @@ def enumerate_subgroups(r, m, symbols=None, cap=2_000_000):
 # --- covers -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CoveringMap:
     total: MarkedGraph
     base: MarkedGraph
@@ -696,7 +696,7 @@ def solve_conjugacy(z, w):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionVerdict:
     found: bool
     images: dict = None

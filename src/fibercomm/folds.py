@@ -6,16 +6,16 @@ a full-edge fold, so every step stays combinatorial.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionFailed
 from .graph import MarkedGraph, OrientedEdge
 from .maps import GraphMap, apply_map, is_train_track, iterate_map
+from .record import factory, record
 from .words import base, free_reduce, inv, inverse, is_positive
 
 
-@dataclass(frozen=True)
+@record
 class FoldEvent:
     e1: str
     e2: str
@@ -34,7 +34,7 @@ class FoldEvent:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SubdivisionEvent:
     edges: tuple  # positive edge ids subdivided in this step
     parameter: Fraction  # split point along each edge
@@ -49,9 +49,9 @@ class SubdivisionEvent:
         }
 
 
-@dataclass
+@record
 class FoldSequence:
-    events: list = field(default_factory=list)
+    events: list = factory(list)
     result: GraphMap = None
 
     def to_json(self):
@@ -255,7 +255,7 @@ def fold_to_identify(f: GraphMap, x, y, k_max):
     if x == y:
         return FoldSequence([], f)
 
-    seq = FoldSequence([], f)
+    events = []
     current = f
 
     # interior pair at the same parameter on edges with a common initial
@@ -273,26 +273,24 @@ def fold_to_identify(f: GraphMap, x, y, k_max):
             f2, pieces = subdivide_map(current, [x[0], y[0]], x[1], 1)
         except PreconditionFailed:
             return None
-        seq.events.append(SubdivisionEvent((x[0], y[0]), x[1], 1))
+        events.append(SubdivisionEvent((x[0], y[0]), x[1], 1))
         d1, d2 = pieces[x[0]][0], pieces[y[0]][0]
         f3, ev = stallings_fold(f2, d1, d2, require_train_track=False)
-        seq.events.append(ev)
-        seq.result = f3
-        return seq
+        events.append(ev)
+        return FoldSequence(events, f3)
 
     # realize interior points as vertices first
     try:
-        current, x = _vertexify(current, x, seq)
+        current, x = _vertexify(current, x, events)
         if isinstance(y, tuple):
-            y = _transport_point(seq, y)
-        current, y = _vertexify(current, y, seq)
+            y = _transport_point(events, y)
+        current, y = _vertexify(current, y, events)
     except PreconditionFailed:
         return None
 
     for _ in range(4 * len(current.domain.edges) + 4):
         if x == y:
-            seq.result = current
-            return seq
+            return FoldSequence(events, current)
         collapsing = None
         for path in _candidate_paths(
             current.domain, x, y, 2 * len(current.domain.edges) + 2
@@ -302,17 +300,17 @@ def fold_to_identify(f: GraphMap, x, y, k_max):
                 break
         if collapsing is None:
             return None
-        step = _fold_step(current, collapsing, seq)
+        step = _fold_step(current, collapsing, events)
         if step is None:
             return None
         current, x, y = step[0], _transport(step[1], x), _transport(step[1], y)
     return None
 
 
-def _transport_point(seq: FoldSequence, pt):
+def _transport_point(events, pt):
     """Re-express an interior point after the subdivisions recorded so far."""
     e, t = pt
-    for ev in seq.events:
+    for ev in events:
         if not isinstance(ev, SubdivisionEvent) or e not in ev.edges:
             continue
         t0 = ev.parameter
@@ -325,7 +323,7 @@ def _transport_point(seq: FoldSequence, pt):
     return (e, t)
 
 
-def _vertexify(f, pt, seq: FoldSequence):
+def _vertexify(f, pt, events):
     if isinstance(pt, str):
         return f, pt
     pt = normalize_point(f.domain, pt)
@@ -336,7 +334,7 @@ def _vertexify(f, pt, seq: FoldSequence):
     if len(img) < 2:
         raise PreconditionFailed("interior point on an edge with single-edge image")
     f2, pieces = subdivide_map(f, [e], t, 1)
-    seq.events.append(SubdivisionEvent((e,), t, 1))
+    events.append(SubdivisionEvent((e,), t, 1))
     return f2, f2.domain.edge_dst(pieces[e][0])
 
 
@@ -344,7 +342,7 @@ def _transport(vq, v):
     return vq.get(v, v)
 
 
-def _fold_step(f: GraphMap, path, seq: FoldSequence):
+def _fold_step(f: GraphMap, path, events):
     """One fold along the connecting path; returns (new map, vertex quotient)."""
     g = f.domain
     for i in range(len(path) - 1):
@@ -354,7 +352,7 @@ def _fold_step(f: GraphMap, path, seq: FoldSequence):
         im1, im2 = f.edge_image(d1), f.edge_image(d2)
         if im1 == im2 and g.edge_length(d1) == g.edge_length(d2):
             f2, ev = stallings_fold(f, d1, d2, require_train_track=False)
-            seq.events.append(ev)
+            events.append(ev)
             return f2, ev.vertex_quotient
     # no direct fold: split a pair with a shared image prefix
     for i in range(len(path) - 1):
@@ -377,7 +375,7 @@ def _fold_step(f: GraphMap, path, seq: FoldSequence):
                 f2, pieces = subdivide_map(
                     f2, [base(d)], t if is_positive(d) else 1 - t, split if is_positive(d) else len(im) - split
                 )
-                seq.events.append(
+                events.append(
                     SubdivisionEvent((base(d),), t if is_positive(d) else 1 - t, split)
                 )
                 p0, p1 = pieces[base(d)]
@@ -394,7 +392,7 @@ def _fold_step(f: GraphMap, path, seq: FoldSequence):
         if f2.edge_image(new_d1) != f2.edge_image(new_d2):
             return None
         f3, ev = stallings_fold(f2, new_d1, new_d2, require_train_track=False)
-        seq.events.append(ev)
+        events.append(ev)
         return f3, ev.vertex_quotient
     return None
 

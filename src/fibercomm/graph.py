@@ -7,15 +7,15 @@ edge orbits identifying the fundamental group with a free basis.
 """
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import DisconnectedGraph, NonIncidentEdges, NotALoop, UnknownEdge
+from .record import factory, record
 from .words import base, free_reduce, inv, inverse, is_positive
 
 
-@dataclass(frozen=True)
+@record
 class OrientedEdge:
     id: str
     src: str
@@ -23,7 +23,7 @@ class OrientedEdge:
     length: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class MarkedGraph:
     """Connected graph with spanning tree marking.
 
@@ -35,7 +35,7 @@ class MarkedGraph:
     vertices: tuple
     edges: dict
     spanning_tree: frozenset = frozenset()
-    basis_labels: dict = field(default_factory=dict)
+    basis_labels: dict = factory(dict)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))

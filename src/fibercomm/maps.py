@@ -6,11 +6,11 @@ transition matrix lives in :mod:`fibercomm.spectral`.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
+from .record import record
 from .unionfind import UnionFind
 from .words import (
     _cyclic_start,
@@ -37,7 +37,7 @@ class _EdgeImages(_OrientedImages):
         return super().__missing__(e)
 
 
-@dataclass(frozen=True)
+@record
 class GraphMap:
     """Vertex map plus edge -> reduced edge path assignment."""
 
@@ -175,7 +175,7 @@ def is_irreducible_matrix(mat):
 # --- train track verification ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TrainTrackVerdict:
     is_train_track: bool
     illegal_turns: frozenset  # frozensets of direction pairs
@@ -295,7 +295,7 @@ def induced_outer_automorphism(f: GraphMap, basepoint=None, check=True):
 # --- Nielsen paths ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NielsenPath:
     """A path with g^p-invariant homotopy class rel endpoints.
 
@@ -606,7 +606,7 @@ def _known(path, vertex_paths):
 # --- toroidality -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ToroidalityVerdict:
     toroidal: bool
     witness_word: tuple = None

@@ -10,11 +10,11 @@ as a prefilter.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 
 from .errors import ZeroMatrix
+from .record import record
 
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
 
@@ -518,7 +518,7 @@ def _factor_with_root(f, a, b):
 # --- stretch factors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class StretchFactor:
     char_poly: tuple  # integer coefficients, lowest degree first
     min_poly: tuple  # irreducible factor carrying the PF root
@@ -650,7 +650,7 @@ def pf_left_eigenvector(mat, field):
 # --- rationality of log ratios ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LogRatioVerdict:
     rational: bool
     ratio: Fraction = None  # log(lam2)/log(lam1) = p/q, so lam1^p = lam2^q

@@ -6,13 +6,13 @@ principal vertices: vertices are the periodic directions, edges are the
 taken turns of the leaf segments saturated under the direction map.
 """
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import lcm
 
 from .errors import NotRotationless
 from .graph import rank
 from .maps import GraphMap, find_nielsen_paths, illegal_turns, iterate_map
+from .record import factory, record
 from .words import base, inv
 
 
@@ -91,7 +91,7 @@ def _vertex_periods(f: GraphMap, verts):
 # --- leaf segments -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LeafSegments:
     edge: str
     power: int
@@ -107,12 +107,12 @@ def leaf_segments(f: GraphMap, e, n):
 # --- stable Whitehead graphs ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WhiteheadGraph:
     vertex: str  # the principal vertex this local graph lives at
     nodes: tuple  # periodic directions at the vertex, sorted
     edges: frozenset  # frozensets {d1, d2}
-    angles: dict = field(default_factory=dict)  # optional node -> label
+    angles: dict = factory(dict)  # optional node -> label
 
     def adjacency(self):
         adj = {d: set() for d in self.nodes}
@@ -183,7 +183,7 @@ def stable_whitehead_graphs(f: GraphMap, n_saturation=64):
 # --- geometric index -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IndexReport:
     fixed_direction_counts: tuple  # per principal vertex, counts >= 3 only contribute
     index: int
@@ -289,7 +289,7 @@ def _canonical_form(nodes, edges):
     return best, best_order
 
 
-@dataclass(frozen=True)
+@record
 class AngleLabeling:
     labels: dict  # direction -> (component id, canonical position)
     components: tuple  # canonical encodings per component

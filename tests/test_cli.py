@@ -186,19 +186,78 @@ def test_determinism_byte_identical(fixture_dir, tmp_path):
 GUARD = """
 import sys
 import fibercomm.cli
-for module in ("spectral", "whitehead", "covers", "commensurability"):
+for module in ("spectral", "whitehead", "covers", "commensurability", "folds"):
     __import__("fibercomm." + module)
-for command in ("analyze", "cover"):
-    assert fibercomm.cli.main([command, sys.argv[1], "--out", sys.argv[2] + command]) == 0
-print(sorted(m for m in ("sympy", "numpy") if m in sys.modules))
+fixtures, out = sys.argv[1], sys.argv[2]
+jobs = (
+    ["analyze", fixtures + "FIB.json"],
+    ["cover", fixtures + "FIB.json"],
+    ["compare", fixtures + "lift3.json", fixtures + "FIB.json", "--k-max", "3", "--p-max", "1"],
+    ["minimize", fixtures + "lift3.json"],
+)
+for i, argv in enumerate(jobs):
+    assert fibercomm.cli.main(argv + ["--out", out + str(i)]) == 0
+print(" ".join(sorted(m for m in ("sympy", "numpy", "dataclasses", "inspect") if m in sys.modules)))
 """
 
 
-def test_cli_imports_neither_sympy_nor_numpy(fixture_dir, tmp_path):
+@pytest.fixture(scope="module")
+def cli_process_modules(fixture_dir, tmp_path_factory):
+    """The guarded modules a CLI process has loaded after every subcommand ran."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibercomm.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path_factory.mktemp("guard") / "out-"
     run = subprocess.run(
-        [sys.executable, "-c", GUARD, str(fixture_dir / "FIB.json"), str(tmp_path / "out-")],
+        [sys.executable, "-c", GUARD, str(fixture_dir) + os.sep, str(out)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert run.stdout.strip() == "[]"
+    return set(run.stdout.split())
+
+
+def test_cli_imports_neither_sympy_nor_numpy(cli_process_modules):
+    assert not cli_process_modules & {"sympy", "numpy"}
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect(cli_process_modules):
+    """Value classes are built by ``fibercomm.record``: start-up pays for no
+    ``dataclasses`` import and no generated code."""
+    assert not cli_process_modules & {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def certificate(fixture_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("certificate") / "compare.json"
+    argv = ["compare", str(fixture_dir / "lift3.json"), str(fixture_dir / "FIB.json")]
+    assert main(argv + ["--k-max", "3", "--p-max", "1", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["witness"]
+
+
+def _identify_first(cert, word):
+    identification = dict(cert["identification"])
+    identification[min(identification)] = word
+    return {**cert, "identification": identification}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda c: {"H": {}, "inner_conjugator": []}, id="missing-keys"),
+        pytest.param(lambda c: {**c, "H": {}}, id="H-without-edges"),
+        pytest.param(lambda c: [1, 2], id="top-level-list"),
+        pytest.param(lambda c: _identify_first(c, 5), id="identification-not-a-word"),
+        pytest.param(lambda c: _identify_first(c, [1, 2]), id="identification-not-letters"),
+        pytest.param(lambda c: {**c, "k": "3"}, id="k-not-an-integer"),
+        pytest.param(
+            lambda c: {**c, "H": {**c["H"], "edges": c["H"]["edges"] + [{"from": "0", "label": "z", "to": "0"}]}},
+            id="H-label-outside-symbols",
+        ),
+    ],
+)
+def test_malformed_certificate_exits_2(fixture_dir, certificate, tmp_path, capsys, damage):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(damage(certificate)))
+    out = tmp_path / "replay.json"
+    argv = ["compare", str(fixture_dir / "lift3.json"), str(fixture_dir / "FIB.json")]
+    assert main(argv + ["--replay", str(cert), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
