@@ -49,7 +49,7 @@ def main():
     lifted2 = lift_map(lifted, cover2, 3)
     psi2 = from_graph_map(lifted2)
     w12 = witness_from_lift(cover2, 3, psi2, psi)
-    composite = compose_witnesses(w12, witness, psi2, psi, phi)
+    composite = compose_witnesses(w12, witness, psi2, phi)
     print(f"\ncomposite witness over the base: k={composite.k} "
           f"(index {composite.subgroup.index()})")
     print(f"composite replay verifies: {replay_witness(composite, psi2, phi)}")

@@ -21,7 +21,7 @@ from .covers import (
     lift_map,
     restriction_images,
     smallest_invariant_power,
-    solve_conjugacy,
+    solve_conjugacy_system,
     subgroup_intersection,
 )
 from .errors import (
@@ -164,6 +164,8 @@ class CoveringWitness:
 def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterAutomorphism):
     """Independent verification of a covering witness by word computation."""
     H = witness.subgroup
+    if tuple(sorted(H.symbols)) != phi.symbols or not H.is_complete():
+        return False
     phik, image = _power_image(phi, witness.k, H)
     if image.key() != H.canonical().key():
         return False
@@ -217,9 +219,7 @@ def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_boun
     return True, int(verdict.ratio)
 
 
-def covers_relation(
-    psi: OuterAutomorphism, phi: OuterAutomorphism, k_max, conj_cap=16
-):
+def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
     """Witness that psi covers phi: H of finite index, Phi^k(H) = H, and
     Phi^k restricted to H equal to psi up to an inner conjugator."""
     if psi.rank < phi.rank or phi.rank < 2:
@@ -242,7 +242,7 @@ def covers_relation(
             if forced_k is not None and k != forced_k:
                 continue
             for ident in _identifications(psi, H, m):
-                witness = _match_restriction(psi, phi, H, k, ident, conj_cap)
+                witness = _match_restriction(psi, phi, H, k, ident)
                 if witness is not None:
                     return witness
     return None
@@ -266,75 +266,38 @@ def _identifications(psi, H: SubgroupGraph, m):
         yield {s: images[t] for s, t in zip(psi.symbols, sorted(H.symbols))}
 
 
-def _match_restriction(psi, phi, H: SubgroupGraph, k, ident, conj_cap):
+def _match_restriction(psi, phi, H: SubgroupGraph, k, ident):
     H = H.canonical()
     phik, image = _power_image(phi, k, H)
     if image.key() != H.key():
         return None
-    # equations: Phi^k(ident(s)) = gamma * ident(psi(s)) * gamma^-1
-    eqs = []
-    for s in psi.symbols:
-        lhs = apply_images(phik, ident[s])
-        rhs = apply_images(ident, psi.images[s])
-        eqs.append((rhs, lhs))
-    sol = solve_conjugacy(*eqs[0])
-    if sol is None:
+    return _conjugated_witness(psi, phi, H, k, ident, phik)
+
+
+def _conjugated_witness(psi, phi, H: SubgroupGraph, k, ident, phik):
+    """The witness (H, k, ident, gamma) whose inner conjugator solves
+    Phi^k(ident(s)) = gamma ident(psi(s)) gamma^-1 for every basis symbol
+    s of psi, if such a gamma exists and the witness replays; else None."""
+    gamma = solve_conjugacy_system(
+        [(apply_images(ident, psi.images[s]), apply_images(phik, ident[s])) for s in psi.symbols]
+    )
+    if gamma is None:
         return None
-    u0, c = sol
-    for j in _signed(conj_cap):
-        gamma = _centralizer_element(u0, c, j)
-        if all(
-            free_reduce(concat(gamma, z, inverse(gamma))) == w for z, w in eqs
-        ):
-            witness = CoveringWitness(H, k, gamma, ident)
-            if replay_witness(witness, psi, phi):
-                return witness
-            return None
-    return None
+    witness = CoveringWitness(H, k, gamma, ident)
+    return witness if replay_witness(witness, psi, phi) else None
 
 
-def _signed(cap):
-    yield 0
-    for j in range(1, cap + 1):
-        yield j
-        yield -j
-
-
-def _centralizer_element(u0, c, j):
-    out = u0
-    step = c if j > 0 else inverse(c)
-    for _ in range(abs(j)):
-        out = concat(out, step)
-    return free_reduce(out)
-
-
-def witness_from_lift(cover: CoveringMap, k, psi: OuterAutomorphism, phi: OuterAutomorphism, conj_cap=32):
+def witness_from_lift(cover: CoveringMap, k, psi: OuterAutomorphism, phi: OuterAutomorphism):
     """Covering witness for a psi constructed as a lift of phi^k.
 
     The identification comes from the covering map itself (total basis
-    symbol -> ambient word); only the inner conjugator is searched.
+    symbol -> ambient word); only the inner conjugator is solved for.
     """
     ident = cover.identification_words()
     if sorted(ident) != list(psi.symbols):
         return None
     H = fold_subgroup_graph(list(ident.values()), phi.symbols)
-    phik = power_images(phi.images, k)
-    eqs = []
-    for s in psi.symbols:
-        lhs = apply_images(phik, ident[s])
-        rhs = apply_images(ident, psi.images[s])
-        eqs.append((rhs, lhs))
-    sol = solve_conjugacy(*eqs[0])
-    if sol is None:
-        return None
-    u0, c = sol
-    for j in _signed(conj_cap):
-        gamma = _centralizer_element(u0, c, j)
-        if all(free_reduce(concat(gamma, z, inverse(gamma))) == w for z, w in eqs):
-            witness = CoveringWitness(H, k, gamma, dict(ident))
-            if replay_witness(witness, psi, phi):
-                return witness
-    return None
+    return _conjugated_witness(psi, phi, H, k, ident, power_images(phi.images, k))
 
 
 def greater_than(phi1: OuterAutomorphism, phi2: OuterAutomorphism, k_max, p_max):
@@ -346,15 +309,12 @@ def greater_than(phi1: OuterAutomorphism, phi2: OuterAutomorphism, k_max, p_max)
     return None
 
 
-def compose_witnesses(
-    w12: CoveringWitness, w23: CoveringWitness, psi1, phi2, phi3
-):
+def compose_witnesses(w12: CoveringWitness, w23: CoveringWitness, psi1, phi3):
     """Witness for psi1 over phi3 from witnesses psi1>phi2 (w12, subgroup of
     F(phi2)) and phi2>phi3 (w23, subgroup of F(phi3))."""
-    H23 = w23.subgroup.canonical()
     # transport w12's subgroup of F(phi2) into F(phi3) through w23's identification
     ident23 = w23.identification
-    transported = {
+    ident = {
         s: free_reduce(
             concat(
                 w23.inner_conjugator,
@@ -364,28 +324,9 @@ def compose_witnesses(
         )
         for s, w in w12.identification.items()
     }
-    gens = list(transported.values())
-    H = fold_subgroup_graph(gens, phi3.symbols)
+    H = fold_subgroup_graph(list(ident.values()), phi3.symbols)
     k = w12.k * w23.k
-    ident = transported
-    phik = power_images(phi3.images, k)
-    # solve for the composite inner conjugator
-    eqs = []
-    for s in psi1.symbols:
-        lhs = apply_images(phik, ident[s])
-        rhs = apply_images(ident, psi1.images[s])
-        eqs.append((rhs, lhs))
-    sol = solve_conjugacy(*eqs[0])
-    if sol is None:
-        return None
-    u0, c = sol
-    for j in _signed(32):
-        gamma = _centralizer_element(u0, c, j)
-        if all(free_reduce(concat(gamma, z, inverse(gamma))) == w for z, w in eqs):
-            witness = CoveringWitness(H, k, gamma, ident)
-            if replay_witness(witness, psi1, phi3):
-                return witness
-    return None
+    return _conjugated_witness(psi1, phi3, H, k, ident, power_images(phi3.images, k))
 
 
 # --- commensurability ----------------------------------------------------

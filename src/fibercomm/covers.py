@@ -677,15 +677,17 @@ def solve_conjugacy(z, w):
     """One solution u of u z u^-1 = w plus the centralizer generator of z.
 
     Returns ``(u0, c)`` with general solution ``u0 * c^k``; None when z and w
-    are not conjugate.
+    are not conjugate.  With z = p z' p^-1 and z' cyclically reduced,
+    c = p r p^-1 for the primitive root r of z'.  z must be nontrivial:
+    every u solves u 1 u^-1 = 1, and that solution set is not of this form.
     """
     z, w = free_reduce(z), free_reduce(w)
+    if not z:
+        raise ValueError("the trivial word has no cyclic centralizer")
     zc, p = cyclic_reduce(z)
     wc, q = cyclic_reduce(w)
     if len(zc) != len(wc):
         return None
-    if not zc:
-        return ((), ())
     for i in range(len(zc)):
         if zc[i:] + zc[:i] == wc:
             z1 = zc[:i]
@@ -696,11 +698,63 @@ def solve_conjugacy(z, w):
     return None
 
 
+def solve_conjugacy_system(equations):
+    """The u with u z u^-1 = w for every pair ``(z, w)`` of words, or None.
+
+    Lyndon and Schupp, *Combinatorial Group Theory*, ch. I.  The first
+    equation with z != 1 is the pivot; its solutions are u0 c^j
+    (``solve_conjugacy``).  The first equation whose z does not commute
+    with c holds for at most one j, which ``_axis_shift`` reads off.  When
+    every z commutes with c, each equation holds for all j or for none,
+    and u0 (j = 0) is the answer.  The one candidate is then checked
+    against every equation, so nothing is scanned and no bound can turn a
+    solvable system into None.
+    """
+    equations = [(free_reduce(z), free_reduce(w)) for z, w in equations]
+    pivot = next(((z, w) for z, w in equations if z), None)
+    u = ()
+    if pivot is not None:
+        sol = solve_conjugacy(*pivot)
+        if sol is None:
+            return None
+        u0, c = sol
+        j = 0
+        for z, w in equations:
+            if concat(c, z) != concat(z, c):
+                r, p = cyclic_reduce(c)
+                t = concat(inverse(u0), w, u0)
+                j = _axis_shift(r, concat(inverse(p), z, p), concat(inverse(p), t, p))
+                if j is None:
+                    return None
+                break
+        u = concat(u0, *[c if j > 0 else inverse(c)] * abs(j))
+    if all(concat(u, z, inverse(u)) == w for z, w in equations):
+        return u
+    return None
+
+
+def _axis_shift(r, z, t):
+    """The one j that can give r^j z r^-j = t, for r cyclically reduced
+    and primitive and z outside <r>; None when no j can.
+
+    In the Cayley tree, m -> |r^m x r^-m| is convex, and it grows by
+    exactly 2|r| per step (no cancellation at either end) once m|r| passes
+    |x| + 2|r|: the axis of r passes through 1, and it overlaps the axis of
+    x r x^-1 in less than 2|r| unless x commutes with r.  So if
+    t = r^j z r^-j, conjugating z and t by one r^m past both thresholds
+    gives lengths exactly 2|r| j apart.
+    """
+    n = len(r)
+    rm = r * (max(len(z), len(t)) // n + 3)
+    gap = len(concat(rm, t, inverse(rm))) - len(concat(rm, z, inverse(rm)))
+    j, rest = divmod(gap, 2 * n)
+    return None if rest else j
+
+
 @record
 class ExtensionVerdict:
     found: bool
     images: dict = None
-    exhausted: bool = False  # solver hit the search cap without deciding
 
 
 def restriction_images(images, H: SubgroupGraph, gen_symbols=None):
@@ -727,43 +781,26 @@ def _ambient_restriction(psi_on_H, H: SubgroupGraph):
     return act
 
 
-def extend_restriction(psi_on_H, H: SubgroupGraph, coset_reps=None, power_cap=64):
+def extend_restriction(psi_on_H, H: SubgroupGraph):
     """The unique ambient automorphism restricting to psi on H, if any.
 
-    The equations pin each ambient basis letter a via
+    Each ambient basis letter a is pinned by the equations
     ``Phi(a) psi(x) Phi(a)^-1 = psi(a x a^-1)`` over a basis of the coset
-    kernel N; solutions are scanned along the one-parameter centralizer
-    family up to ``power_cap``.
+    kernel N, solved exactly by ``solve_conjugacy_system``.
     """
     symbols = H.symbols
     act = _ambient_restriction(psi_on_H, H)
-    N = kernel_of_coset_action(H)
-    n_basis = N.basis()
+    n_basis = kernel_of_coset_action(H).basis()
     if len(n_basis) < 2:
         raise SolverBound("kernel subgroup has rank < 2; equations underdetermined")
     images = {}
     for a in symbols:
-        constraints = []
-        for x in n_basis:
-            z = act(x)
-            w = act(concat((a,), x, (inv(a),)))
-            constraints.append((z, w))
-        sol = solve_conjugacy(*constraints[0])
-        if sol is None:
+        u = solve_conjugacy_system(
+            [(act(x), act(concat((a,), x, (inv(a),)))) for x in n_basis]
+        )
+        if u is None:
             return ExtensionVerdict(False)
-        u0, c = sol
-        found = None
-        for k in _signed_range(power_cap):
-            u = u0 if k == 0 else _conj_power(u0, c, k)
-            if all(
-                free_reduce(concat(u, z, inverse(u))) == free_reduce(w)
-                for z, w in constraints
-            ):
-                found = u
-                break
-        if found is None:
-            return ExtensionVerdict(False, exhausted=True)
-        images[a] = found
+        images[a] = u
     if not check_automorphism(images, symbols):
         return ExtensionVerdict(False)
     # replay: the candidate must preserve H and restrict to psi
@@ -800,18 +837,3 @@ def subgroup_from_json_dict(d):
     return SubgroupGraph(
         tuple(d["symbols"]), tuple(d["vertices"]), trans, d["basepoint"]
     ).canonical()
-
-
-def _signed_range(cap):
-    yield 0
-    for k in range(1, cap + 1):
-        yield k
-        yield -k
-
-
-def _conj_power(u0, c, k):
-    word = u0
-    step = c if k > 0 else inverse(c)
-    for _ in range(abs(k)):
-        word = concat(word, step)
-    return word

@@ -121,7 +121,7 @@ def test_criterion_05_transitivity(fib, fib3_lift):
     w12 = witness_from_lift(cover2, 3, psi2, psi)
     assert w12 is not None and replay_witness(w12, psi2, psi)
     w23 = covers_relation(psi, phi, k_max=3)
-    composite = compose_witnesses(w12, w23, psi2, psi, phi)
+    composite = compose_witnesses(w12, w23, psi2, phi)
     assert composite is not None and composite.k == 9
     assert replay_witness(composite, psi2, phi)
     assert time.monotonic() - start < 30.0

@@ -261,3 +261,12 @@ def test_malformed_certificate_exits_2(fixture_dir, certificate, tmp_path, capsy
     assert main(argv + ["--replay", str(cert), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_replay_rejects_subgroup_over_more_symbols(fixture_dir, certificate, tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({**certificate, "H": {**certificate["H"], "symbols": ["a", "b", "c"]}}))
+    out = tmp_path / "replay.json"
+    argv = ["compare", str(fixture_dir / "lift3.json"), str(fixture_dir / "FIB.json")]
+    assert main(argv + ["--replay", str(cert), "--out", str(out)]) == 1
+    assert json.loads(out.read_text()) == {"replay": False}

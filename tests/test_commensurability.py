@@ -24,6 +24,8 @@ from fibercomm.covers import (
     enumerate_subgroups,
     lift_map,
     smallest_invariant_power,
+    subgroup_from_json_dict,
+    subgroup_to_json_dict,
 )
 from fibercomm import commensurability, whitehead
 from fibercomm.errors import NotAnAutomorphism, NotCommensurableRatio, NotRotationless
@@ -32,9 +34,11 @@ from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import (
     apply_images,
     compose_images,
+    concat,
     conjugate_classes_equal,
     free_reduce,
     identity_images,
+    inverse,
 )
 
 
@@ -87,6 +91,29 @@ def test_replay_rejects_tampering(psi, phi):
     assert not replay_witness(wrong_k, psi, phi)
 
 
+def test_replay_rejects_subgroup_over_more_symbols(psi, phi):
+    # H with a third symbol and no edges for it has infinite index in F(a, b, c)
+    w = covers_relation(psi, phi, k_max=3)
+    widened = subgroup_from_json_dict(
+        {**subgroup_to_json_dict(w.subgroup), "symbols": ["a", "b", "c"]}
+    )
+    assert not widened.is_complete()
+    tampered = CoveringWitness(widened, w.k, w.inner_conjugator, w.identification)
+    assert not replay_witness(tampered, psi, phi)
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_far_inner_conjugator_is_found(n):
+    # psi = a^-n phi a^n covers phi with k = 1 and inner conjugator a^n,
+    # past the old scans' caps of 16 and 32 powers
+    phi = OuterAutomorphism({"a": ("a",), "b": ("b", "a")})
+    an = ("a",) * n
+    psi = OuterAutomorphism({s: concat(inverse(an), w, an) for s, w in phi.images.items()})
+    w = covers_relation(psi, phi, 1)
+    assert w is not None and w.inner_conjugator == an
+    assert replay_witness(w, psi, phi)
+
+
 def test_witness_checks_only_phi_own_images(psi, phi, monkeypatch):
     w = covers_relation(psi, phi, k_max=3)
     checked = []
@@ -98,7 +125,7 @@ def test_witness_checks_only_phi_own_images(psi, phi, monkeypatch):
 
     monkeypatch.setattr(commensurability, "check_automorphism", recorded)
     assert replay_witness(w, psi, phi)
-    assert commensurability._match_restriction(psi, phi, w.subgroup, w.k, w.identification, 16) == w
+    assert commensurability._match_restriction(psi, phi, w.subgroup, w.k, w.identification) == w
     assert checked and all(images == phi.images for images in checked)
 
 
@@ -108,7 +135,7 @@ def test_non_automorphism_is_still_rejected(psi, phi):
     with pytest.raises(NotAnAutomorphism):
         replay_witness(w, psi, squash)
     with pytest.raises(NotAnAutomorphism):
-        commensurability._match_restriction(psi, squash, w.subgroup, w.k, w.identification, 16)
+        commensurability._match_restriction(psi, squash, w.subgroup, w.k, w.identification)
 
 
 def test_power_past_denominator_bound_covers(fib, phi):
@@ -139,7 +166,7 @@ def test_transitive_composition(fib, fib3_lift, psi, phi):
     w12 = witness_from_lift(cover2, 3, psi2, psi)
     assert w12 is not None and replay_witness(w12, psi2, psi)
     w23 = covers_relation(psi, phi, k_max=3)
-    composite = compose_witnesses(w12, w23, psi2, psi, phi)
+    composite = compose_witnesses(w12, w23, psi2, phi)
     assert composite is not None
     assert composite.k == 9
     assert replay_witness(composite, psi2, phi)

@@ -236,6 +236,23 @@ def test_extend_restriction_recovers_power(fib, parity_subgroup):
     assert verdict.images == images
 
 
+@pytest.mark.parametrize(
+    "images",
+    [
+        {"a": ("a",), "b": ("b",) + ("a",) * 70},
+        {"a": ("a",), "b": ("a",) * 70 + ("b",) + ("~a",) * 70},
+    ],
+    ids=["b-to-ba70", "inner-by-a70"],
+)
+def test_extend_restriction_recovers_far_conjugators(images):
+    # each image of a is pinned 70 powers out along the centralizer of a,
+    # past the old scan's cap of 64
+    for H in enumerate_subgroups(2, 2):
+        verdict = extend_restriction(restriction_images(images, H), H)
+        assert verdict.found
+        assert verdict.images == images
+
+
 def test_extend_restriction_identity(parity_subgroup):
     from fibercomm.words import identity_images
 
