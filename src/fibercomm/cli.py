@@ -17,7 +17,6 @@ from .errors import (
     NotRotationless,
     ResourceBound,
     SolverBound,
-    StabilizationBound,
 )
 from .graph import graph_from_json_dict, rank, validate_graph
 from .maps import (
@@ -339,7 +338,7 @@ def main(argv=None):
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResourceBound, SolverBound, StabilizationBound) as exc:
+    except (ResourceBound, SolverBound) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except NotRotationless:

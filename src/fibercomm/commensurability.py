@@ -12,6 +12,7 @@ from fractions import Fraction
 from .covers import (
     CoveringMap,
     SubgroupGraph,
+    _bfs_tree,
     _fold_image,
     build_cover,
     check_automorphism,
@@ -30,9 +31,8 @@ from .errors import (
     NotRotationless,
     ResourceBound,
     SolverBound,
-    StabilizationBound,
 )
-from .graph import MarkedGraph, loop_to_word, rank, rose, word_to_loop
+from .graph import MarkedGraph, OrientedEdge, loop_to_word, rank, rose, word_to_loop
 from .maps import (
     GraphMap,
     apply_map,
@@ -41,7 +41,6 @@ from .maps import (
     transition_matrix,
 )
 from .record import record
-from .unionfind import UnionFind
 from .words import (
     apply_images,
     base,
@@ -443,13 +442,23 @@ class QuotientResult:
 
 
 def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angles=False):
-    """Descend a lift to a quotient of its graph (dynamical quotient).
+    """Descend a lift to the base of its covering (dynamical quotient).
 
-    Verifies p∘g^n = h∘p, closes the fiber equivalence under the map on
-    vertices, directions, and edges, and returns the quotient with an
-    induced map and injectivity/finite-index certificates.
+    p must be a covering of graphs; g is a self-map of p.total and h one of
+    p.base.  Once p∘g^n = h∘p holds edge by edge, the quotient is p's base
+    renamed: its vertices and edges are the fibers of p.  No closure under
+    g^n is needed.  A covering carries the reduced path g^n(e) to a reduced
+    path, so the check says that g^n sends each vertex, direction and edge
+    fiber into one fiber, with the same pushed image for every member.
 
-    Returns ("quotient", QuotientResult), ("symmetric", vertex), or
+    A vertex fiber is named by its last member in ``total.vertices``, an
+    edge fiber by its largest member; they are numbered ``q0…`` and ``E0…``
+    in the sorted order of those names.  Each quotient edge takes the
+    orientation and the image of the smallest edge of its fiber.
+
+    Returns ("quotient", QuotientResult) with the commutation, injectivity
+    and finite-index certificates, ("symmetric", vertex) when
+    ``strict_angles`` finds a symmetric stable Whitehead graph, or
     ("not_descendable", reason).
     """
     total = g.domain
@@ -470,104 +479,32 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
         if free_reduce(lhs) != free_reduce(rhs):
             return ("not_descendable", f"projection does not commute on edge {e}")
 
-    bound = len(total.vertices) + len(total.edges)
-    vsets = UnionFind()
-    fibers = {}
+    last = {}  # base vertex -> last member of its fiber
     for v in total.vertices:
-        fibers.setdefault(p.vertex_projection[v], []).append(v)
-    for vs in fibers.values():
-        for v in vs[1:]:
-            vsets.union(vs[0], v)
-    stabilized = False
-    for _ in range(bound + 1):
-        changed = False
-        classes = {}
-        for v in total.vertices:
-            classes.setdefault(vsets.find(v), []).append(v)
-        for vs in classes.values():
-            imgs = [gn.vertex_map[v] for v in vs]
-            for v in imgs[1:]:
-                changed |= vsets.union(imgs[0], v)
-        if not changed:
-            stabilized = True
-            break
-    if not stabilized:
-        raise StabilizationBound("vertex classes did not stabilize")
+        last[p.vertex_projection[v]] = v
+    vname = {x: f"q{idx}" for idx, x in enumerate(sorted(last.values()))}
+    vproj = {v: vname[last[p.vertex_projection[v]]] for v in total.vertices}
 
-    dsets = UnionFind()
-    dir_fibers = {}
-    for d in total.oriented_edges():
-        bd = p.edge_projection[base(d)]
-        bd = bd if is_positive(d) else inv(bd)
-        dir_fibers.setdefault(bd, []).append(d)
-    for ds in dir_fibers.values():
-        for d in ds[1:]:
-            dsets.union(ds[0], d)
-    stabilized = False
-    for _ in range(bound + 1):
-        changed = False
-        classes = {}
-        for d in total.oriented_edges():
-            classes.setdefault(dsets.find(d), []).append(d)
-        for ds in classes.values():
-            imgs = [gn.edge_image(d)[0] for d in ds]
-            for d in imgs[1:]:
-                changed |= dsets.union(imgs[0], d)
-        if not changed:
-            stabilized = True
-            break
-    if not stabilized:
-        raise StabilizationBound("direction classes did not stabilize")
-    # reversal consistency: d1 ~ d2 must give ~d1 ~ ~d2
-    for d1 in total.oriented_edges():
-        for d2 in total.oriented_edges():
-            if dsets.find(d1) == dsets.find(d2) and dsets.find(inv(d1)) != dsets.find(inv(d2)):
-                return ("not_descendable", f"direction classes break reversal at {d1},{d2}")
-
-    # edges: same class iff directions match at both ends (lengths must agree)
-    esets = UnionFind()
-    dirs = total.oriented_edges()
-    for d1 in dirs:
-        for d2 in dirs:
-            if dsets.find(d1) == dsets.find(d2) and dsets.find(inv(d1)) == dsets.find(inv(d2)):
-                if total.edge_length(d1) != total.edge_length(d2):
-                    return ("not_descendable", "edge lengths differ within a class")
-                esets.union(base(d1), base(d2))
-
-    # build the quotient graph
-    vclasses = {}
-    for v in sorted(total.vertices):
-        vclasses.setdefault(vsets.find(v), []).append(v)
-    vname = {root: f"q{idx}" for idx, root in enumerate(sorted(vclasses))}
-    vproj = {v: vname[vsets.find(v)] for v in total.vertices}
-
-    eclasses = {}
+    efibers = {}
     for e in sorted(total.edges):
-        eclasses.setdefault(esets.find(e), []).append(e)
-    # orientation: the class representative keeps its orientation; other
-    # members align via direction classes
-    from .graph import OrientedEdge
+        efibers.setdefault(base(p.edge_projection[e]), []).append(e)
+    eclasses = sorted(efibers.values(), key=lambda es: es[-1])
+    if any(len({total.edge_length(e) for e in es}) > 1 for es in eclasses):
+        return ("not_descendable", "edge lengths differ within a class")
 
-    ename = {root: f"E{idx}" for idx, root in enumerate(sorted(eclasses))}
     eproj = {}
     qedges = {}
-    for root, members in sorted(eclasses.items()):
+    for idx, members in enumerate(eclasses):
         rep = members[0]
-        qid = ename[root]
+        qid = f"E{idx}"
         qedges[qid] = OrientedEdge(
             qid, vproj[total.edge_src(rep)], vproj[total.edge_dst(rep)],
             total.edge_length(rep),
         )
         for e in members:
-            if dsets.find(e) == dsets.find(rep):
-                eproj[e] = qid
-            elif dsets.find(e) == dsets.find(inv(rep)):
-                eproj[e] = inv(qid)
-            else:
-                return ("not_descendable", f"edge {e} matches {rep} in no orientation")
-    from .covers import _bfs_tree
-
-    qvertices = tuple(sorted(set(vproj.values())))
+            same = p.edge_projection[e] == p.edge_projection[rep]
+            eproj[e] = qid if same else inv(qid)
+    qvertices = tuple(sorted(vname.values()))
     tree = _bfs_tree(qvertices, qedges)
     quotient = MarkedGraph(qvertices, qedges, frozenset(tree))
 
@@ -578,21 +515,8 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
             out.append(q if is_positive(d) else inv(q))
         return free_reduce(tuple(out))
 
-    # induced map: must be independent of the class member
-    q_edge_map = {}
-    for root, members in sorted(eclasses.items()):
-        images = {push(gn.edge_image(e) if dsets.find(e) == dsets.find(members[0]) else
-                       gn.edge_image(inv(e))) for e in members}
-        if len(images) != 1:
-            return ("not_descendable", f"induced image not well defined on class of {members[0]}")
-        q_edge_map[ename[root]] = images.pop()
-    q_vertex_map = {}
-    for v in total.vertices:
-        img = vproj[gn.vertex_map[v]]
-        prev = q_vertex_map.get(vproj[v])
-        if prev is not None and prev != img:
-            return ("not_descendable", "induced vertex map not well defined")
-        q_vertex_map[vproj[v]] = img
+    q_edge_map = {f"E{idx}": push(gn.edge_image(es[0])) for idx, es in enumerate(eclasses)}
+    q_vertex_map = {vproj[v]: vproj[gn.vertex_map[v]] for v in total.vertices}
     induced = GraphMap(quotient, q_vertex_map, q_edge_map)
     problems = induced.validate()
     if problems:

@@ -327,7 +327,11 @@ def hall_count(r, m):
     return n(m)
 
 
-def enumerate_subgroups(r, m, symbols=None, cap=2_000_000):
+# Most permutation tuples (m!)^r that enumerate_subgroups will walk through.
+SUBGROUP_TUPLE_CAP = 2_000_000
+
+
+def enumerate_subgroups(r, m, symbols=None):
     """All index-m subgroups of F_r via basepointed transitive actions."""
     if r < 1 or m < 1:
         raise ValueError("rank and index must be positive")
@@ -336,7 +340,7 @@ def enumerate_subgroups(r, m, symbols=None, cap=2_000_000):
     )
     from math import factorial
 
-    if factorial(m) ** r > cap:
+    if factorial(m) ** r > SUBGROUP_TUPLE_CAP:
         raise ResourceBound(f"{factorial(m) ** r} permutation tuples exceed cap")
     perms = list(permutations(range(m)))
     seen = {}
@@ -407,17 +411,6 @@ class CoveringMap:
         return words
 
 
-def _edge_state_action(g: MarkedGraph, H: SubgroupGraph):
-    """State transport along each positive base edge (tree edges act trivially)."""
-    action = {}
-    for e in g.edges:
-        if e in g.spanning_tree:
-            action[e] = None
-        else:
-            action[e] = g.basis_labels[e]
-    return action
-
-
 def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
     """Finite cover of a marked graph associated with a finite-index subgroup."""
     if set(H.symbols) != set(base_graph.basis_symbols()):
@@ -425,7 +418,6 @@ def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
     if not H.is_complete():
         raise InfiniteIndex()
     H = H.canonical()
-    action = _edge_state_action(base_graph, H)
     vertices = []
     fiber_state = {}
     vertex_projection = {}
@@ -438,8 +430,10 @@ def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
     edges = {}
     edge_projection = {}
     for e, data in sorted(base_graph.edges.items()):
+        # tree edges move no state; the others act by their basis symbol
+        symbol = None if e in base_graph.spanning_tree else base_graph.basis_labels[e]
         for s in H.states:
-            t = s if action[e] is None else H.trans[(s, action[e])]
+            t = s if symbol is None else H.trans[(s, symbol)]
             eid = f"{e}@{s}"
             edges[eid] = OrientedEdge(eid, f"{data.src}@{s}", f"{data.dst}@{t}", data.length)
             edge_projection[eid] = e
@@ -662,17 +656,6 @@ def kernel_of_coset_action(H: SubgroupGraph):
     return SubgroupGraph(H.symbols, tuple(range(len(elements))), trans, 0).canonical()
 
 
-def _primitive_root(word):
-    """Primitive root of a cyclically reduced word: (root, exponent)."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if word == word[:d] * (n // d):
-            return word[:d], n // d
-    return word, 1
-
-
 def solve_conjugacy(z, w):
     """One solution u of u z u^-1 = w plus the centralizer generator of z.
 
@@ -680,22 +663,39 @@ def solve_conjugacy(z, w):
     are not conjugate.  With z = p z' p^-1 and z' cyclically reduced,
     c = p r p^-1 for the primitive root r of z'.  z must be nontrivial:
     every u solves u 1 u^-1 = 1, and that solution set is not of this form.
+
+    The core w' of w is the rotation z'[i:] z'[:i] for the first i at which
+    w' occurs in z' z'.  One Knuth–Morris–Pratt pass over w' # z' z' finds
+    it.  Its failure table pi at the end of w' gives the least period
+    n - pi[n-1] of w', and so of z'; r is z' cut to that period when the
+    period divides n.
     """
     z, w = free_reduce(z), free_reduce(w)
     if not z:
         raise ValueError("the trivial word has no cyclic centralizer")
     zc, p = cyclic_reduce(z)
     wc, q = cyclic_reduce(w)
-    if len(zc) != len(wc):
+    n = len(zc)
+    if len(wc) != n:
         return None
-    for i in range(len(zc)):
-        if zc[i:] + zc[:i] == wc:
-            z1 = zc[:i]
-            u0 = concat(tuple(q), inverse(z1), inverse(tuple(p)))
-            root, _ = _primitive_root(zc)
-            c = concat(tuple(p), root, inverse(tuple(p)))
-            return (u0, c)
-    return None
+    seq = wc + (None,) + zc + zc[:-1]  # None matches no letter
+    pi = [0] * len(seq)
+    k = 0
+    for j in range(1, len(seq)):
+        while k and seq[j] != seq[k]:
+            k = pi[k - 1]
+        if seq[j] == seq[k]:
+            k += 1
+        if k == n:
+            break
+        pi[j] = k
+    else:
+        return None
+    period = n - pi[n - 1]
+    root = zc[:period] if n % period == 0 else zc
+    u0 = concat(tuple(q), inverse(zc[: j - 2 * n]), inverse(tuple(p)))
+    c = concat(tuple(p), root, inverse(tuple(p)))
+    return (u0, c)
 
 
 def solve_conjugacy_system(equations):

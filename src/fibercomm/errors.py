@@ -49,10 +49,6 @@ class NotRotationless(FibercommError):
     pass
 
 
-class StabilizationBound(FibercommError):
-    pass
-
-
 class ZeroMatrix(FibercommError):
     pass
 

@@ -120,9 +120,6 @@ class MarkedGraph:
             if self.edge_dst(path[i]) != self.edge_src(path[i + 1]):
                 raise NonIncidentEdges(f"{path[i]} -> {path[i + 1]}")
 
-    def path_length(self, path):
-        return sum(self.edge_length(e) for e in path)
-
     # --- marking -------------------------------------------------------
 
     @cached_property

@@ -246,16 +246,20 @@ def _cancellation_witness(f: GraphMap, power_bound):
     return None
 
 
-def is_train_track(f: GraphMap, power_bound=10):
+# Most powers of f searched for the cancellation witness is_train_track reports.
+WITNESS_POWER_BOUND = 10
+
+
+def is_train_track(f: GraphMap):
     """Exact train track verdict via turn orbit closure.
 
-    ``power_bound`` only caps the search for a reported cancellation witness;
-    the verdict itself is decided on the finite turn set.
+    ``WITNESS_POWER_BOUND`` only caps the search for a reported cancellation
+    witness; the verdict itself is decided on the finite turn set.
     """
     bad = illegal_turns(f)
     taken = f.taken_turns()
     ok = not (bad & taken)
-    witness = None if ok else _cancellation_witness(f, power_bound)
+    witness = None if ok else _cancellation_witness(f, WITNESS_POWER_BOUND)
     return TrainTrackVerdict(
         is_train_track=ok,
         illegal_turns=bad,

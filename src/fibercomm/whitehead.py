@@ -147,28 +147,34 @@ def _is_rotationless(f: GraphMap):
     return True
 
 
-def stable_whitehead_graphs(f: GraphMap, n_saturation=64):
+def saturated_turns(f: GraphMap):
+    """The taken turns closed under the direction map.
+
+    A worklist holds the turns not yet mapped; each new nondegenerate image
+    joins it once.  The turn set is finite, so the closure is exact.
+    """
+    dmap = {d: f.direction_image(d) for d in f.directions()}
+    turns = set(f.taken_turns())
+    work = list(turns)
+    while work:
+        image = frozenset(dmap[d] for d in work.pop())
+        if len(image) == 2 and image not in turns:
+            turns.add(image)
+            work.append(image)
+    return turns
+
+
+def stable_whitehead_graphs(f: GraphMap):
     """One local stable graph per principal vertex.
 
     Edges are the taken turns between periodic directions, saturated under
-    the direction map until stabilization (the turn set is finite).
+    the direction map (``saturated_turns``).
     """
     if not _is_rotationless(f):
         raise NotRotationless()
     g = f.domain
     periods = periodic_directions(f)
-    dmap = {d: f.direction_image(d) for d in f.directions()}
-    turns = set(f.taken_turns())
-    for _ in range(n_saturation):
-        new = {
-            frozenset((dmap[d1], dmap[d2]))
-            for t in turns
-            for d1, d2 in [sorted(t) if len(t) == 2 else (tuple(t)[0],) * 2]
-        }
-        new = {t for t in new if len(t) == 2}
-        if new <= turns:
-            break
-        turns |= new
+    turns = saturated_turns(f)
     verts, _ = principal_vertices(f)
     graphs = []
     for v in verts:
@@ -295,13 +301,13 @@ class AngleLabeling:
     components: tuple  # canonical encodings per component
 
 
-def angle_labeling(f: GraphMap, n_saturation=64):
+def angle_labeling(f: GraphMap):
     """Canonical per-direction labels when every stable component is
     asymmetric; returns None labels with the symmetric offender otherwise.
 
     Returns ``("labels", AngleLabeling)`` or ``("symmetric", vertex)``.
     """
-    graphs = stable_whitehead_graphs(f, n_saturation)
+    graphs = stable_whitehead_graphs(f)
     labels = {}
     encodings = []
     for w in graphs:

@@ -257,6 +257,22 @@ def test_quotient_descent_rejects_wrong_base(fib, fib3_lift, double_cover):
     assert status == "not_descendable"
 
 
+def test_quotient_descent_rejects_a_collapsed_edge():
+    """b and c have the same image, so the square of f collapses b c^-1.
+    The lift's edge over it has an empty image, which no induced map can
+    carry: the verdict is not_descendable, not an IndexError."""
+    g3 = rose(("a", "b", "c"))
+    f = GraphMap(g3, {"v0": "v0"}, {"a": ("a",), "b": ("b", "~c"), "c": ("b", "~c")})
+    H = next(
+        H for H in enumerate_subgroups(3, 2, symbols=("a", "b", "c"))
+        if not H.contains(("b",)) and not H.contains(("c",))
+    )
+    cover = build_cover(g3, H)
+    status, reason = quotient_descent(lift_map(f, cover, 1), map_power(f, 2), cover, 2)
+    assert status == "not_descendable"
+    assert reason.startswith("induced map invalid") and "empty image" in reason
+
+
 # --- gcd reduction -------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ it replaced (``conjugacy_oracle``) and against brute force."""
 from hypothesis import given, settings, strategies as st
 
 import conjugacy_oracle as old
-from fibercomm.covers import solve_conjugacy_system
-from fibercomm.words import concat, free_reduce, inverse
+from fibercomm.covers import solve_conjugacy, solve_conjugacy_system
+from fibercomm.words import concat, cyclic_reduce, free_reduce, inverse, power_images
 
 SETTINGS = settings(max_examples=60, deadline=None)
 LETTERS = ("a", "~a", "b", "~b")
@@ -142,3 +142,26 @@ def test_far_conjugator():
     u = ("b",) + ("a",) * 5000
     equations = [(z, conjugate(u, z)) for z in (("a",), ("b", "a", "b"))]
     assert solve_conjugacy_system(equations) == u
+
+
+@SETTINGS
+@given(nonempty, st.integers(1, 3), picks, picks, picks)
+def test_rotation_search_agrees_with_scan_at_every_offset(root, k, p, q, other):
+    """z = p r^k p^-1 against w = q (a rotation of r^k) q^-1 at every
+    offset, the last one included, and against a word that may not be
+    conjugate to z at all."""
+    z = conjugate(word(p), power(word(root) or ("a",), k))
+    zc, _ = cyclic_reduce(z)
+    for i in range(len(zc)):
+        w = conjugate(word(q), zc[i:] + zc[:i])
+        assert solve_conjugacy(z, w) == old.solve_conjugacy(z, w)
+    w = word(other)
+    assert solve_conjugacy(z, w) == old.solve_conjugacy(z, w)
+
+
+def test_rotation_search_on_a_long_fibonacci_word():
+    """z = FIB^20(a) has 17711 letters; w is z rotated right by 3."""
+    z = power_images({"a": ("a", "b"), "b": ("a",)}, 20)["a"]
+    assert len(z) == 17711
+    w = z[-3:] + z[:-3]
+    assert solve_conjugacy(z, w) == old.solve_conjugacy(z, w) == (inverse(z[:-3]), z)

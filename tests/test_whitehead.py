@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibercomm.errors import NotRotationless
-from fibercomm.maps import map_power
+from fibercomm.graph import rose
+from fibercomm.maps import GraphMap, map_power
+from fibercomm.words import free_reduce, inv
 from fibercomm.whitehead import (
     WhiteheadGraph,
     angle_labeling,
@@ -16,6 +18,7 @@ from fibercomm.whitehead import (
     periodic_directions,
     principal_vertices,
     rotationless_power,
+    saturated_turns,
     stable_whitehead_graphs,
 )
 
@@ -143,3 +146,53 @@ def test_is_asymmetric_examples():
     )
     assert is_asymmetric(asym)
     assert len(brute_force_automorphisms(asym)) == 1
+
+
+# --- turn saturation -----------------------------------------------------
+
+
+def brute_force_turns(f):
+    """Every taken turn with its images under the direction map, each orbit
+    followed until it turns degenerate or has run past every possible turn."""
+    dirs = f.directions()
+    steps = len(dirs) ** 2
+    turns = set()
+    for t in f.taken_turns():
+        turns.add(t)
+        for _ in range(steps):
+            t = frozenset(f.direction_image(d) for d in t)
+            if len(t) != 2:
+                break
+            turns.add(t)
+    return turns
+
+
+@st.composite
+def rose_self_maps(draw):
+    symbols = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    letters = [x for s in symbols for x in (s, inv(s))]
+    images = {}
+    for s in symbols:
+        w = free_reduce(tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=5))))
+        images[s] = w or (s,)
+    return GraphMap(rose(symbols), {"v0": "v0"}, images)
+
+
+@given(rose_self_maps())
+@settings(max_examples=80, deadline=None)
+def test_saturated_turns_match_brute_force(f):
+    assert saturated_turns(f) == brute_force_turns(f)
+
+
+def test_saturation_runs_past_64_rounds():
+    """x_i -> x_(i+1), x39 -> x00 x01: the one taken turn has an orbit of
+    more than 64 turns, and each round of map-everything saturation adds
+    only the next one."""
+    symbols = tuple(f"x{i:02d}" for i in range(40))
+    images = {s: (t,) for s, t in zip(symbols, symbols[1:])}
+    images[symbols[-1]] = (symbols[0], symbols[1])
+    f = GraphMap(rose(symbols), {"v0": "v0"}, images)
+    assert f.taken_turns() == {frozenset({"~x00", "x01"})}
+    turns = saturated_turns(f)
+    assert len(turns) > 65
+    assert turns == brute_force_turns(f)
