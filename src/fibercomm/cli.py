@@ -205,6 +205,7 @@ def _cmd_cover(args):
     from .commensurability import from_graph_map
     from .covers import (
         build_cover,
+        check_subgroup_cap,
         enumerate_subgroups,
         lift_map,
         smallest_invariant_power,
@@ -214,6 +215,8 @@ def _cmd_cover(args):
     f = _load_map(args.input)
     phi = from_graph_map(f)
     r = phi.rank
+    # the count grows with the index, so the largest index decides the cap
+    check_subgroup_cap(r, args.index_max)
     entries = []
     for m in range(2, args.index_max + 1):
         for H in enumerate_subgroups(r, m, symbols=phi.symbols):

@@ -7,23 +7,19 @@ is exact.
 """
 
 import json
-from fractions import Fraction
 
 from .covers import (
     CoveringMap,
     SubgroupGraph,
     _bfs_tree,
-    _fold_image,
     build_cover,
     check_automorphism,
     enumerate_subgroups,
     fold_subgroup_graph,
     full_group,
     lift_map,
-    restriction_images,
     smallest_invariant_power,
     solve_conjugacy_system,
-    subgroup_intersection,
 )
 from .errors import (
     NotAnAutomorphism,
@@ -161,12 +157,20 @@ class CoveringWitness:
 
 
 def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterAutomorphism):
-    """Independent verification of a covering witness by word computation."""
+    """Independent verification of a covering witness by word computation.
+
+    Phi^k is an automorphism iff Phi is (F_n is Hopfian), so only Phi's own
+    short images are folded for that check.  An automorphism keeps the
+    index, so Phi^k(b) in H for every basis word b of the complete H gives
+    Phi^k(H) = H; each membership reads one word through H's table.
+    """
     H = witness.subgroup
     if tuple(sorted(H.symbols)) != phi.symbols or not H.is_complete():
         return False
-    phik, image = _power_image(phi, witness.k, H)
-    if image.key() != H.canonical().key():
+    if not check_automorphism(phi.images, phi.symbols):
+        raise NotAnAutomorphism()
+    phik = power_images(phi.images, witness.k)
+    if not all(H.contains(apply_images(phik, b)) for b in H.basis()):
         return False
     gamma = witness.inner_conjugator
     for s in psi.symbols:
@@ -184,18 +188,6 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
     words = [witness.identification[s] for s in psi.symbols]
     sub = fold_subgroup_graph(words, H.symbols)
     return sub.key() == H.canonical().key()
-
-
-def _power_image(phi: OuterAutomorphism, k, H: SubgroupGraph):
-    """Phi^k's basis images and the folded graph of Phi^k(H).
-
-    Phi^k is an automorphism iff Phi is (F_n is Hopfian), so only Phi's own
-    short images are folded for the check, not the long ones of Phi^k.
-    """
-    if not check_automorphism(phi.images, phi.symbols):
-        raise NotAnAutomorphism()
-    phik = power_images(phi.images, k)
-    return phik, _fold_image(phik, H)
 
 
 def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_bound=20):
@@ -237,11 +229,13 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         k0 = smallest_invariant_power(phi.images, H, k_max)
         if k0 is None:
             continue
+        # k is a multiple of k0, so Phi^k(H) = H; the witness replay checks it again
         for k in range(k0, k_max + 1, k0):
             if forced_k is not None and k != forced_k:
                 continue
+            phik = power_images(phi.images, k)
             for ident in _identifications(psi, H, m):
-                witness = _match_restriction(psi, phi, H, k, ident)
+                witness = _conjugated_witness(psi, phi, H, k, ident, phik)
                 if witness is not None:
                     return witness
     return None
@@ -250,27 +244,24 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
 def _identifications(psi, H: SubgroupGraph, m):
     """Candidate markings of H by the basis of F(psi).
 
-    The canonical basis in sorted symbol order first; at index one, also
-    signed basis permutations (the bounded automorphism search).
+    The canonical basis in sorted symbol order; at index one, where that
+    basis is the sorted symbols, every signed permutation of them, the
+    identity first.
     """
     basis = H.canonical().basis()
     if len(basis) != psi.rank:
         return
-    yield {s: w for s, w in zip(psi.symbols, basis)}
     if m != 1:
+        yield dict(zip(psi.symbols, basis))
         return
-    from itertools import islice
+    from itertools import permutations, product
 
-    for images in islice(_candidate_automorphisms(tuple(sorted(H.symbols)), 1), 1, None):
-        yield {s: images[t] for s, t in zip(psi.symbols, sorted(H.symbols))}
-
-
-def _match_restriction(psi, phi, H: SubgroupGraph, k, ident):
-    H = H.canonical()
-    phik, image = _power_image(phi, k, H)
-    if image.key() != H.key():
-        return None
-    return _conjugated_witness(psi, phi, H, k, ident, phik)
+    for perm in permutations(sorted(H.symbols)):
+        for signs in product((1, -1), repeat=len(perm)):
+            yield {
+                s: (t,) if sign > 0 else (inv(t),)
+                for s, t, sign in zip(psi.symbols, perm, signs)
+            }
 
 
 def _conjugated_witness(psi, phi, H: SubgroupGraph, k, ident, phik):
@@ -378,55 +369,6 @@ def commensurable(phi1: OuterAutomorphism, phi2: OuterAutomorphism, k_max=4, p_m
             if gt1 is not None and gt2 is not None:
                 return CommonCoverCertificate(phi3, gt1[0], gt1[1], gt2[0], gt2[1])
     return None
-
-
-def covering_equivalent(
-    phi1: OuterAutomorphism, phi2: OuterAutomorphism, k_max=3, p_max=2, conj_len=2
-):
-    """Mutual covering, plus a bounded search for a conjugating automorphism.
-
-    Returns ("equivalent_with_conjugator", images),
-    ("equivalent_no_conjugator_found", None), or ("not_within_bounds", None).
-    """
-    if phi1.rank != phi2.rank:
-        return ("not_within_bounds", None)
-    fwd = greater_than(phi1, phi2, k_max, p_max)
-    bwd = greater_than(phi2, phi1, k_max, p_max)
-    if fwd is None or bwd is None:
-        return ("not_within_bounds", None)
-    for cand in _candidate_automorphisms(phi1.symbols, conj_len):
-        try:
-            cand_inv = invert_images(cand, length_cap=12, state_cap=20000)
-        except SolverBound:
-            continue
-        conj = compose_images(cand, compose_images(phi1.images, cand_inv))
-        if all(conj[s] == phi2.images[s] for s in phi2.symbols):
-            return ("equivalent_with_conjugator", cand)
-    return ("equivalent_no_conjugator_found", None)
-
-
-def _candidate_automorphisms(symbols, max_len):
-    """Identity, signed basis permutations, then short-image candidates."""
-    from itertools import permutations, product
-
-    symbols = tuple(sorted(symbols))
-    yield identity_images(symbols)
-    for perm in permutations(symbols):
-        for signs in product((1, -1), repeat=len(symbols)):
-            images = {
-                s: (t,) if sign > 0 else (inv(t),)
-                for s, t, sign in zip(symbols, perm, signs)
-            }
-            yield images
-    if max_len < 2:
-        return
-    from .words import enumerate_reduced_words
-
-    words = list(enumerate_reduced_words(symbols, max_len))
-    for combo in product(words, repeat=len(symbols)):
-        images = dict(zip(symbols, combo))
-        if check_automorphism(images, symbols):
-            yield images
 
 
 # --- quotient descent ----------------------------------------------------
@@ -732,12 +674,3 @@ def _derive_base_map(g: GraphMap, cover: CoveringMap):
 def witness_to_json(witness: CoveringWitness):
     return json.dumps(witness.to_json_dict(), sort_keys=True, indent=2)
 
-
-def poset_dot(relations, name="covers"):
-    """DOT digraph of explored covering relations: iterable of
-    (name_psi, name_phi, k)."""
-    lines = [f"digraph {name} {{"]
-    for psi, phi, k in sorted(relations):
-        lines.append(f'  "{psi}" -> "{phi}" [label="k={k}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -6,12 +6,10 @@ to equality (canonical coset-table form), not conjugacy.
 """
 
 from functools import cached_property
-from itertools import permutations, product
 
 from .errors import (
     InfiniteIndex,
     NotAnAutomorphism,
-    PreconditionFailed,
     ResourceBound,
     SolverBound,
 )
@@ -310,7 +308,7 @@ def subgroups_equal(h1: SubgroupGraph, h2: SubgroupGraph):
 
 
 def hall_count(r, m):
-    """Number of index-m subgroups of F_r (Hall's recursion); test oracle."""
+    """Number of index-m subgroups of F_r (Hall's recursion)."""
     from math import factorial
 
     memo = {1: 1}
@@ -327,43 +325,62 @@ def hall_count(r, m):
     return n(m)
 
 
-# Most permutation tuples (m!)^r that enumerate_subgroups will walk through.
-SUBGROUP_TUPLE_CAP = 2_000_000
+# Most subgroups enumerate_subgroups will list; Hall's count is checked
+# before any work.
+SUBGROUP_CAP = 2_000_000
+
+
+def check_subgroup_cap(r, m):
+    """ResourceBound when F_r has more than ``SUBGROUP_CAP`` index-m subgroups."""
+    count = hall_count(r, m)
+    if count > SUBGROUP_CAP:
+        raise ResourceBound(f"{count} index-{m} subgroups exceed cap")
 
 
 def enumerate_subgroups(r, m, symbols=None):
-    """All index-m subgroups of F_r via basepointed transitive actions."""
+    """All index-m subgroups of F_r as canonical coset tables, sorted by key.
+
+    Low-index enumeration (Sims, *Computation with Finitely Presented
+    Groups*, 1994).  The table is filled depth first, slot by slot,
+    in the order ``SubgroupGraph.canonical`` numbers states: states
+    ascending, letters a, ~a, b, ~b, ....  Each free slot goes to an
+    existing state whose opposite slot is free, or to the next new state.
+    Every state is then numbered where the canonical BFS first reaches it,
+    so each subgroup comes out once and already canonical.  A branch dies
+    when the scan passes the last state with fewer than m states.
+    """
     if r < 1 or m < 1:
         raise ValueError("rank and index must be positive")
     symbols = tuple(sorted(symbols)) if symbols else tuple(
         f"a{i}" if r > 26 else chr(ord("a") + i) for i in range(r)
     )
-    from math import factorial
+    check_subgroup_cap(r, m)
+    # table[s][2i] = s.x_i and table[s][2i + 1] = s.x_i^-1; j ^ 1 is j's opposite
+    table = [[None] * (2 * r) for _ in range(m)]
+    tables = []
 
-    if factorial(m) ** r > SUBGROUP_TUPLE_CAP:
-        raise ResourceBound(f"{factorial(m) ** r} permutation tuples exceed cap")
-    perms = list(permutations(range(m)))
-    seen = {}
-    for assignment in product(perms, repeat=r):
-        # transitivity
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            s = frontier.pop()
-            for p in assignment:
-                for t in (p[s], p.index(s)):
-                    if t not in reached:
-                        reached.add(t)
-                        frontier.append(t)
-        if len(reached) != m:
-            continue
-        trans = {}
-        for sym, p in zip(symbols, assignment):
-            for s in range(m):
-                trans[(s, sym)] = p[s]
-        sg = SubgroupGraph(symbols, tuple(range(m)), trans, 0).canonical()
-        seen.setdefault(sg.key(), sg)
-    return [seen[k] for k in sorted(seen)]
+    def fill(slot, n):
+        while slot < 2 * r * n:
+            s, j = divmod(slot, 2 * r)
+            if table[s][j] is None:
+                break
+            slot += 1
+        else:
+            if n == m:
+                tables.append(tuple(row[j] for row in table for j in range(0, 2 * r, 2)))
+            return
+        for t in range(min(n + 1, m)):
+            if table[t][j ^ 1] is None:
+                table[s][j], table[t][j ^ 1] = t, s
+                fill(slot + 1, max(n, t + 1))
+                table[s][j] = table[t][j ^ 1] = None
+
+    fill(0, 1)
+    keys = [(s, x) for s in range(m) for x in symbols]
+    return [
+        SubgroupGraph(symbols, tuple(range(m)), dict(zip(keys, targets)), 0)
+        for targets in sorted(tables)
+    ]
 
 
 # --- covers -------------------------------------------------------------

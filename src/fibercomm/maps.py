@@ -11,7 +11,6 @@ from functools import cached_property
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
 from .record import record
-from .unionfind import UnionFind
 from .words import (
     _cyclic_start,
     _Inverses,
@@ -212,25 +211,22 @@ def illegal_turns(f: GraphMap):
 
 
 def gate_partition(f: GraphMap):
-    """Directions at a common vertex identified by eventual Dg-collision."""
-    g = f.domain
+    """Directions at a common vertex identified by eventual Dg-collision.
+
+    Two Dg-orbits that meet stay together, and they first meet within N
+    steps, N the number of directions: Dg is injective on its cycles, so of
+    the two paths before the meeting one lies off the cycles, and it visits
+    distinct directions.  So the gates are the classes of
+    (vertex, Dg^N(d)).
+    """
     dirs = f.directions()
     dmap = {d: f.direction_image(d) for d in dirs}
-    sets = UnionFind()
-    images = {d: d for d in dirs}
-    for _ in range(2 * len(dirs)):
-        images = {d: dmap[images[d]] for d in dirs}
-        for v in g.vertices:
-            at_v = g.edges_at(v)
-            by_image = {}
-            for d in at_v:
-                by_image.setdefault(images[d], []).append(d)
-            for group in by_image.values():
-                for d in group[1:]:
-                    sets.union(group[0], d)
     classes = {}
     for d in dirs:
-        classes.setdefault(sets.find(d), []).append(d)
+        image = d
+        for _ in range(len(dirs)):
+            image = dmap[image]
+        classes.setdefault((f.domain.edge_src(d), image), []).append(d)
     return tuple(sorted(frozenset(c) for c in classes.values()))
 
 

@@ -113,14 +113,17 @@ def cyclic_rotations(word):
 def conjugate_classes_equal(w1, w2):
     """Whether two words define the same conjugacy class.
 
-    Classes are compared by cyclic reduction followed by rotation equality;
+    Their cyclic cores must be rotations of each other, which the one-pass
+    rotation search of ``covers.solve_conjugacy`` decides in linear time;
     a class and its inverse are *not* identified.
     """
     c1, _ = cyclic_reduce(free_reduce(w1))
     c2, _ = cyclic_reduce(free_reduce(w2))
-    if len(c1) != len(c2):
-        return False
-    return c2 in cyclic_rotations(c1)
+    if not c1 or not c2:
+        return c1 == c2
+    from .covers import solve_conjugacy
+
+    return solve_conjugacy(c1, c2) is not None
 
 
 def parse_word(text):

@@ -2,18 +2,21 @@
 
 These are the implementations the table-driven kernels and the incremental
 searches in ``fibercomm.words`` and ``fibercomm.maps`` replaced, kept
-unchanged as a test oracle.  The only edits: ``GraphMap.edge_image``,
+unchanged as a test oracle, with ``gate_partition``, the union-find over
+2N rounds of the direction map that one grouping by (vertex, Dg^N(d))
+replaced.  The only edits: ``GraphMap.edge_image``,
 ``MarkedGraph.oriented_edges`` and ``MarkedGraph.edges_at`` became module
 functions taking the map or graph, and the functions call each other by
 their names here.  The helpers these functions call and that did not change
-(``path_src``, ``edge_dst``, ``cyclic_rotations`` and
-``induced_outer_automorphism``) come from the package.
+(``path_src``, ``edge_dst``, ``cyclic_rotations``, ``direction_image``,
+``induced_outer_automorphism`` and ``UnionFind``) come from the package.
 """
 
 from itertools import product
 
 from fibercomm.errors import UnknownEdge
 from fibercomm.maps import ToroidalityVerdict, induced_outer_automorphism
+from fibercomm.unionfind import UnionFind
 from fibercomm.words import cyclic_rotations
 
 
@@ -217,3 +220,26 @@ def is_atoroidal(f, power_bound, length_bound, basepoint=None):
             if img in rotations:
                 return ToroidalityVerdict(True, w, k)
     return ToroidalityVerdict(False)
+
+
+def gate_partition(f):
+    """Directions at a common vertex identified by eventual Dg-collision."""
+    g = f.domain
+    dirs = oriented_edges(g)
+    dmap = {d: f.direction_image(d) for d in dirs}
+    sets = UnionFind()
+    images = {d: d for d in dirs}
+    for _ in range(2 * len(dirs)):
+        images = {d: dmap[images[d]] for d in dirs}
+        for v in g.vertices:
+            at_v = edges_at(g, v)
+            by_image = {}
+            for d in at_v:
+                by_image.setdefault(images[d], []).append(d)
+            for group in by_image.values():
+                for d in group[1:]:
+                    sets.union(group[0], d)
+    classes = {}
+    for d in dirs:
+        classes.setdefault(sets.find(d), []).append(d)
+    return tuple(sorted(frozenset(c) for c in classes.values()))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import fibercomm
+from fibercomm import covers
 from fibercomm.cli import main
 from fibercomm.covers import build_cover, enumerate_subgroups, lift_map
 from fibercomm.maps import map_power, map_to_json_dict
@@ -94,6 +95,23 @@ def test_cover_enumeration(fixture_dir, tmp_path):
     assert all(c["invariant_power"] == 3 for c in report["covers"])
     assert all(c["lift_exists"] for c in report["covers"])
     assert all(c["cover_rank"] == 3 for c in report["covers"])
+
+
+def test_cover_past_the_subgroup_cap_exits_3_before_any_work(
+    fixture_dir, tmp_path, capsys, monkeypatch
+):
+    # F_2 has 2 829 325 subgroups of index 9; indices 2-8 are not walked first
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before the cap was checked")
+
+    monkeypatch.setattr(covers, "enumerate_subgroups", unreachable)
+    out = tmp_path / "covers.json"
+    code = main(
+        ["cover", str(fixture_dir / "FIB.json"), "--index-max", "9", "--out", str(out)]
+    )
+    assert code == 3
+    assert not out.exists()
+    assert "resource bound" in capsys.readouterr().err
 
 
 def test_compare_and_replay(fixture_dir, tmp_path):

@@ -7,14 +7,12 @@ from fibercomm.commensurability import (
     OuterAutomorphism,
     commensurable,
     compose_witnesses,
-    covering_equivalent,
     covers_relation,
     from_graph_map,
     gcd_reduce,
     greater_than,
     invert_images,
     minimal_element_search,
-    poset_dot,
     quotient_descent,
     replay_witness,
     witness_from_lift,
@@ -22,6 +20,7 @@ from fibercomm.commensurability import (
 from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
+    image_subgroup,
     lift_map,
     smallest_invariant_power,
     subgroup_from_json_dict,
@@ -102,6 +101,33 @@ def test_replay_rejects_subgroup_over_more_symbols(psi, phi):
     assert not replay_witness(tampered, psi, phi)
 
 
+def test_replay_rejects_a_subgroup_phi_moves(parity_subgroup, psi, phi, monkeypatch):
+    # FIB(a) = ab has odd b-exponent sum, so FIB moves the parity subgroup;
+    # the membership check must say so before any identification is read
+    H = parity_subgroup
+    assert not H.contains(phi.apply(("a",)))
+    ident = dict(zip(psi.symbols, H.basis()))
+
+    def unreachable(word):
+        raise AssertionError("replay read the identification")
+
+    monkeypatch.setattr(commensurability, "free_reduce", unreachable)
+    assert not replay_witness(CoveringWitness(H, 1, (), ident), psi, phi)
+
+
+def test_replay_rejects_a_subgroup_phi_only_conjugates():
+    # phi, conjugation by b, sends an index-3 H that b does not normalize to
+    # b H b^-1.  With inner conjugator b every identification equation of
+    # psi = id holds, so only the invariance check can refuse the witness.
+    phi = OuterAutomorphism({"a": ("b", "a", "~b"), "b": ("b",)})
+    H = next(h for h in enumerate_subgroups(2, 3) if image_subgroup(phi.images, h).key() != h.key())
+    gens = [f"x{i}" for i in range(H.rank())]
+    psi = OuterAutomorphism({x: (x,) for x in gens})
+    ident = dict(zip(gens, H.basis()))
+    assert all(phi.apply(w) == concat(("b",), w, ("~b",)) for w in ident.values())
+    assert not replay_witness(CoveringWitness(H, 1, ("b",), ident), psi, phi)
+
+
 @pytest.mark.parametrize("n", [17, 40])
 def test_far_inner_conjugator_is_found(n):
     # psi = a^-n phi a^n covers phi with k = 1 and inner conjugator a^n,
@@ -125,7 +151,7 @@ def test_witness_checks_only_phi_own_images(psi, phi, monkeypatch):
 
     monkeypatch.setattr(commensurability, "check_automorphism", recorded)
     assert replay_witness(w, psi, phi)
-    assert commensurability._match_restriction(psi, phi, w.subgroup, w.k, w.identification) == w
+    assert covers_relation(psi, phi, 3) == w
     assert checked and all(images == phi.images for images in checked)
 
 
@@ -135,7 +161,7 @@ def test_non_automorphism_is_still_rejected(psi, phi):
     with pytest.raises(NotAnAutomorphism):
         replay_witness(w, psi, squash)
     with pytest.raises(NotAnAutomorphism):
-        commensurability._match_restriction(psi, squash, w.subgroup, w.k, w.identification)
+        covers_relation(psi, squash, 3)
 
 
 def test_power_past_denominator_bound_covers(fib, phi):
@@ -183,22 +209,6 @@ def test_commensurable_via_lift(phi, psi):
     assert cert.phi3.rank == 3
     assert replay_witness(cert.witness1, cert.phi3, phi)
     assert replay_witness(cert.witness2, cert.phi3, psi)
-
-
-def test_covering_equivalent_conjugate(phi, fib):
-    g = fib.domain
-    swapped = OuterAutomorphism(
-        {"a": ("b",), "b": ("b", "a")},
-        GraphMap(g, {"v0": "v0"}, {"a": ("b",), "b": ("b", "a")}),
-    )
-    verdict, conj = covering_equivalent(phi, swapped, k_max=2, p_max=1)
-    assert verdict == "equivalent_with_conjugator"
-    assert conj == {"a": ("b",), "b": ("a",)}
-
-
-def test_covering_equivalent_negative(phi):
-    verdict, _ = covering_equivalent(phi, phi.power(2), k_max=3, p_max=2)
-    assert verdict == "not_within_bounds"
 
 
 # --- quotient descent ----------------------------------------------------
@@ -334,8 +344,3 @@ def test_minimize_propagates_unexpected_index_errors(phi, monkeypatch):
     with pytest.raises(RuntimeError, match="bug in geometric_index"):
         minimal_element_search(phi, k_max=3, index_max=2)
 
-
-def test_poset_dot_output():
-    dot = poset_dot([("lift", "base", 3), ("base", "base", 1)])
-    assert dot.splitlines()[0] == "digraph covers {"
-    assert '"lift" -> "base" [label="k=3"];' in dot

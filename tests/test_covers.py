@@ -1,9 +1,12 @@
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subgroup_oracle
 from fibercomm.covers import (
+    SUBGROUP_CAP,
     build_cover,
     check_automorphism,
     enumerate_subgroups,
@@ -23,6 +26,7 @@ from fibercomm.covers import (
     subgroup_to_json_dict,
     subgroups_equal,
 )
+from fibercomm.errors import ResourceBound
 from fibercomm.graph import rank, rose
 from fibercomm.maps import induced_outer_automorphism, map_power
 from fibercomm.words import (
@@ -48,13 +52,32 @@ def test_hall_counts():
     assert hall_count(3, 3) == 97
 
 
-@pytest.mark.parametrize("r,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("r,m", [(2, m) for m in range(2, 8)] + [(3, m) for m in range(2, 6)])
 def test_enumeration_matches_hall(r, m):
     subs = enumerate_subgroups(r, m)
     assert len(subs) == hall_count(r, m)
     keys = {H.key() for H in subs}
     assert len(keys) == len(subs)
     assert all(H.index() == m for H in subs)
+
+
+# every (r, m) with (m!)^r <= 20 000, where the tuple scan is quick; r stops
+# at 14, past which only m = 1 stays under the bound
+SCANNABLE = [(r, m) for r in range(1, 15) for m in range(1, 8) if factorial(m) ** r <= 20_000]
+
+
+@pytest.mark.parametrize("r,m", SCANNABLE)
+def test_enumeration_matches_the_tuple_scan(r, m):
+    subs = enumerate_subgroups(r, m)
+    assert [H.key() for H in subs] == [H.key() for H in subgroup_oracle.enumerate_subgroups(r, m)]
+    assert all(H == H.canonical() for H in subs)
+
+
+@pytest.mark.parametrize("r,m", [(2, 9), (3, 6)])
+def test_enumeration_past_the_subgroup_cap_is_refused(r, m):
+    assert hall_count(r, m) > SUBGROUP_CAP
+    with pytest.raises(ResourceBound):
+        enumerate_subgroups(r, m)
 
 
 def test_parity_subgroup_membership(parity_subgroup):

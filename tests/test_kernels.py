@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as old
 from fibercomm import maps, words
+from fibercomm.covers import build_cover, enumerate_subgroups, lift_map, smallest_invariant_power
 from fibercomm.errors import UnknownEdge
 from fibercomm.graph import MarkedGraph, OrientedEdge, rose
 from fibercomm.maps import GraphMap, induced_outer_automorphism, map_power
@@ -101,6 +102,11 @@ def test_edge_image_matches_oracle(kernel_maps, name):
     f = kernel_maps[name]
     for e in list(f.domain.oriented_edges()) + ["zz", "~zz", "~~" + sorted(f.edge_map)[0]]:
         assert outcome(f.edge_image, e) == outcome(old.edge_image, f, e)
+
+
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_gate_partition_matches_oracle(kernel_maps, name):
+    assert maps.gate_partition(kernel_maps[name]) == old.gate_partition(kernel_maps[name])
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)
@@ -260,6 +266,39 @@ def test_nielsen_search_matches_oracle_on_random_maps(f, period_bound, length_bo
         patch.setattr(maps, "apply_map", old.apply_map)
         patch.setattr(maps, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
         assert found == maps.find_nielsen_paths(f, period_bound, length_bound)
+
+
+@given(f=graph_maps())
+@SETTINGS
+def test_gate_partition_matches_oracle_on_random_maps(f):
+    assert maps.gate_partition(f) == old.gate_partition(f)
+
+
+def test_gates_whose_orbits_meet_late():
+    # x0 -> x1 -> ... -> x9 -> c and y -> c, c -> c on a rose: the orbits of
+    # x0 and y first meet at step 10 (of 24 directions)
+    xs = [f"x{i}" for i in range(10)]
+    images = {x: (nxt,) for x, nxt in zip(xs, xs[1:] + ["c"])}
+    images.update(y=("c",), c=("c",))
+    f = GraphMap(rose(sorted(images)), {"v0": "v0"}, images)
+    gates = maps.gate_partition(f)
+    assert gates == old.gate_partition(f)
+    assert frozenset(xs + ["y", "c"]) in gates
+
+
+@pytest.mark.parametrize("name,m", [("FIB", 2), ("FIB", 3), ("PLAST", 2), ("A3", 2)])
+def test_gate_partition_matches_oracle_on_lifts(kernel_maps, name, m):
+    # multi-vertex maps: the lift of f^k to every index-m cover H with f^k(H) = H
+    f = kernel_maps[name]
+    images = induced_outer_automorphism(f)
+    lifts = 0
+    for H in enumerate_subgroups(len(images), m, symbols=sorted(images)):
+        k = smallest_invariant_power(images, H, 7)
+        lifted = None if k is None else lift_map(f, build_cover(f.domain, H), k)
+        if lifted is not None:
+            assert maps.gate_partition(lifted) == old.gate_partition(lifted)
+            lifts += 1
+    assert lifts
 
 
 def test_prune_keeps_a_bound_equal_to_the_length_bound():

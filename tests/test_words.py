@@ -57,6 +57,30 @@ def test_conjugacy_rotation_only():
     assert not conjugate_classes_equal(("a", "b"), inverse(("a", "b")))
 
 
+def rotation_classes_equal(w1, w2):
+    """The rotation-set definition: equal cyclic cores up to rotation."""
+    c1, _ = cyclic_reduce(free_reduce(w1))
+    c2, _ = cyclic_reduce(free_reduce(w2))
+    return len(c1) == len(c2) and c2 in cyclic_rotations(c1)
+
+
+@given(words, words, words, st.integers(min_value=0, max_value=11))
+def test_conjugacy_matches_rotation_sets(w1, w2, u, shift):
+    core, _ = cyclic_reduce(w1)
+    i = shift % max(1, len(core))
+    conjugate = concat(u, core[i:] + core[:i], inverse(u))
+    for x, y in ((w1, w2), (w1, conjugate), (conjugate, w1), (w1, inverse(w1)), ((), u)):
+        assert conjugate_classes_equal(x, y) == rotation_classes_equal(x, y)
+    assert conjugate_classes_equal(w1, conjugate)
+
+
+def test_conjugacy_of_a_long_fibonacci_word():
+    w = power_images({"a": ("a", "b"), "b": ("a",)}, 17)["a"]  # 4181 letters
+    assert conjugate_classes_equal(w, w[-3:] + w[:-3])
+    assert not conjugate_classes_equal(w, w[-3:] + w[:-4] + ("~a",))
+    assert not conjugate_classes_equal(w, inverse(w))
+
+
 def test_parse_format_round_trip():
     w = ("a", "~b", "a")
     assert parse_word(format_word(w)) == w
