@@ -32,12 +32,15 @@ from .graph import MarkedGraph, OrientedEdge, loop_to_word, rank, rose, word_to_
 from .maps import (
     GraphMap,
     apply_map,
+    illegal_turns,
     induced_outer_automorphism,
     map_power,
     transition_matrix,
 )
 from .record import record
 from .words import (
+    _cyclic_start,
+    _Inverses,
     apply_images,
     base,
     compose_images,
@@ -80,11 +83,19 @@ class OuterAutomorphism:
         return apply_images(self.images, word)
 
     def stretch_factor(self):
-        if self.representative is None:
+        """The PF data of the representative's transition matrix, when the
+        representative is a train track; None otherwise.
+
+        For a map that is not a train track the PF root only bounds the
+        growth from above, so it is not the class's stretch factor.  The
+        turn test is exact: no taken turn is illegal.
+        """
+        f = self.representative
+        if f is None or illegal_turns(f) & f.taken_turns():
             return None
         from .spectral import pf_data
 
-        sf, _ = pf_data(transition_matrix(self.representative))
+        sf, _ = pf_data(transition_matrix(f))
         return sf
 
 
@@ -191,7 +202,8 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
 
 
 def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_bound=20):
-    """Required power k from stretch factors, when both are attached.
+    """Required power k from stretch factors, when both are known: both
+    representatives attached and train tracks.
 
     Returns (True, k or None) — k None means no constraint; (False, None)
     means the ratio obstruction is exact and negative.
@@ -229,16 +241,32 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         k0 = smallest_invariant_power(phi.images, H, k_max)
         if k0 is None:
             continue
+        idents = list(_identifications(psi, H, m))
+        # ident(psi(s)) and their cyclic core lengths, built once an ident is reached
+        targets = [None] * len(idents)
         # k is a multiple of k0, so Phi^k(H) = H; the witness replay checks it again
         for k in range(k0, k_max + 1, k0):
             if forced_k is not None and k != forced_k:
                 continue
             phik = power_images(phi.images, k)
-            for ident in _identifications(psi, H, m):
-                witness = _conjugated_witness(psi, phi, H, k, ident, phik)
+            for j, ident in enumerate(idents):
+                if targets[j] is None:
+                    rhs = [apply_images(ident, psi.images[s]) for s in psi.symbols]
+                    targets[j] = rhs, [_core_length(z) for z in rhs]
+                rhs, lengths = targets[j]
+                lhs = [apply_images(phik, ident[s]) for s in psi.symbols]
+                # conjugate words have cyclic cores of equal length
+                if any(_core_length(w) != n for w, n in zip(lhs, lengths)):
+                    continue
+                witness = _conjugated_witness(psi, phi, H, k, ident, list(zip(rhs, lhs)))
                 if witness is not None:
                     return witness
     return None
+
+
+def _core_length(word):
+    """Length of the cyclic core of a reduced word."""
+    return len(word) - 2 * _cyclic_start(word, _Inverses())
 
 
 def _identifications(psi, H: SubgroupGraph, m):
@@ -264,17 +292,21 @@ def _identifications(psi, H: SubgroupGraph, m):
             }
 
 
-def _conjugated_witness(psi, phi, H: SubgroupGraph, k, ident, phik):
+def _conjugated_witness(psi, phi, H: SubgroupGraph, k, ident, equations):
     """The witness (H, k, ident, gamma) whose inner conjugator solves
     Phi^k(ident(s)) = gamma ident(psi(s)) gamma^-1 for every basis symbol
-    s of psi, if such a gamma exists and the witness replays; else None."""
-    gamma = solve_conjugacy_system(
-        [(apply_images(ident, psi.images[s]), apply_images(phik, ident[s])) for s in psi.symbols]
-    )
+    s of psi, if such a gamma exists and the witness replays; else None.
+    ``equations`` holds the pairs (ident(psi(s)), Phi^k(ident(s)))."""
+    gamma = solve_conjugacy_system(equations)
     if gamma is None:
         return None
     witness = CoveringWitness(H, k, gamma, ident)
     return witness if replay_witness(witness, psi, phi) else None
+
+
+def _equations(psi, ident, phik):
+    """The pairs (ident(psi(s)), Phi^k(ident(s))) over psi's basis symbols."""
+    return [(apply_images(ident, psi.images[s]), apply_images(phik, ident[s])) for s in psi.symbols]
 
 
 def witness_from_lift(cover: CoveringMap, k, psi: OuterAutomorphism, phi: OuterAutomorphism):
@@ -287,7 +319,8 @@ def witness_from_lift(cover: CoveringMap, k, psi: OuterAutomorphism, phi: OuterA
     if sorted(ident) != list(psi.symbols):
         return None
     H = fold_subgroup_graph(list(ident.values()), phi.symbols)
-    return _conjugated_witness(psi, phi, H, k, ident, power_images(phi.images, k))
+    phik = power_images(phi.images, k)
+    return _conjugated_witness(psi, phi, H, k, ident, _equations(psi, ident, phik))
 
 
 def greater_than(phi1: OuterAutomorphism, phi2: OuterAutomorphism, k_max, p_max):
@@ -316,7 +349,9 @@ def compose_witnesses(w12: CoveringWitness, w23: CoveringWitness, psi1, phi3):
     }
     H = fold_subgroup_graph(list(ident.values()), phi3.symbols)
     k = w12.k * w23.k
-    return _conjugated_witness(psi1, phi3, H, k, ident, power_images(phi3.images, k))
+    return _conjugated_witness(
+        psi1, phi3, H, k, ident, _equations(psi1, ident, power_images(phi3.images, k))
+    )
 
 
 # --- commensurability ----------------------------------------------------
@@ -497,7 +532,7 @@ def gcd_reduce(phi1: OuterAutomorphism, phi2: OuterAutomorphism, denom_bound=20)
     """
     s1, s2 = phi1.stretch_factor(), phi2.stretch_factor()
     if s1 is None or s2 is None:
-        raise ValueError("gcd_reduce needs attached representatives for both inputs")
+        raise ValueError("gcd_reduce needs train-track representatives for both inputs")
     from .spectral import log_ratio
 
     verdict = log_ratio(s1, s2, denom_bound)

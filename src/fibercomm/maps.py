@@ -17,12 +17,9 @@ from .words import (
     _OrientedImages,
     _tighten,
     base,
-    cyclic_rotations,
-    enumerate_reduced_words,
     free_reduce,
     inv,
     inverse,
-    power_images,
 )
 
 
@@ -327,7 +324,9 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
     first; each carries its tightened images f_#, ..., f^P_# as persistent
     stacks (``_append``), so one more edge costs only the letters it adds.
     The extensions of a path are skipped when ``_beyond_reach`` shows that
-    none can be periodic.
+    none can be periodic, and a path at the length bound is not walked when
+    it is larger than its reverse: it would not be kept, and its reverse,
+    periodic with the same period, is walked from the other end.
     """
     g = f.domain
     if period_bound < 1 or length_bound < 1:
@@ -358,6 +357,8 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
         if not left or _beyond_reach(_image_lengths(top), reach, left, length_bound):
             continue
         for d in reversed(follow[sigma[-1]]):
+            if left == 1 and inverse_of[d] < sigma[0]:
+                continue
             stack.append((sigma + (d,), _append(top, images[d], period_bound, images, inverse_of)))
     found.sort(key=lambda hit: (len(hit[0]), hit[0]))
     return [
@@ -619,23 +620,91 @@ def is_atoroidal(f: GraphMap, power_bound, length_bound, basepoint=None):
     Classes are compared by cyclic reduction plus rotation; a class and its
     inverse are not identified.  Returns the lexicographically least witness
     in (length, word, power) order.
+
+    Only one word per class is walked: the cyclically reduced words that
+    are least among their rotations (``_necklaces``).  Whether the cyclic
+    core of phi^k(w) is a rotation of w does not depend on which rotation w
+    is, so the least hit in (length, word) order is the least rotation of
+    its class, and the witness word and power are those of the search over
+    every cyclically reduced word.  Each word carries its images phi, ...,
+    phi^P as the persistent tightening stacks of ``_append``, so one more
+    letter costs only the letters it adds.
     """
-    images = induced_outer_automorphism(f, basepoint=basepoint, check=False)
-    symbols = f.domain.basis_symbols()
-    tables = [_OrientedImages(power_images(images, k)) for k in range(1, power_bound + 1)]
+    images = _OrientedImages(induced_outer_automorphism(f, basepoint=basepoint, check=False))
+    if power_bound < 1:
+        return ToroidalityVerdict(False)
     inverse_of = _Inverses()
-    for w in enumerate_reduced_words(symbols, length_bound, cyclically_reduced=True):
-        rotations = None
-        for k, table in enumerate(tables, start=1):
-            img = _tighten(map(table.__getitem__, w), inverse_of)
-            i = _cyclic_start(img, inverse_of)
-            if len(img) - 2 * i != len(w):
-                continue
-            if rotations is None:
-                rotations = set(cyclic_rotations(w))
-            if img[i : len(img) - i] in rotations:
-                return ToroidalityVerdict(True, w, k)
+    root = None
+    for _ in range(power_bound):
+        root = [None, None, 0, root]
+
+    def grow(top, x):
+        return _append(top, images[x], power_bound, images, inverse_of)
+
+    symbols = f.domain.basis_symbols()
+    for n in range(1, length_bound + 1):
+        for w, top in _necklaces(symbols, n, grow, root):
+            level = top
+            for k in range(1, power_bound + 1):
+                excess = level[2] - n
+                if excess >= 0 and not excess % 2:
+                    img = _spelled(level)
+                    i = excess // 2
+                    if _cyclic_start(img, inverse_of) == i and _is_rotation(img[i : i + n], w):
+                        return ToroidalityVerdict(True, w, k)
+                level = level[3]
     return ToroidalityVerdict(False)
+
+
+def _necklaces(symbols, n, grow, root):
+    """The cyclically reduced words of length n that are least among their
+    rotations, in lex order of the letters a, ~a, b, ~b, ... (symbols
+    sorted); each comes with its state ``grow(...grow(root, w[0])..., w[-1])``.
+
+    A depth-first walk over the reduced prenecklaces (Fredricksen, Kessler
+    and Maiorana; Duval, J. Algorithms 1983): a prefix w[:t] whose longest
+    Lyndon prefix has length p takes a letter x >= w[t - p], and p becomes
+    t + 1 unless x == w[t - p].  A word of length n is a necklace iff p
+    divides n.  Every prefix of a cyclically reduced necklace is reduced,
+    so only reduced prefixes are walked.
+    """
+    letters = []
+    for s in sorted(symbols):
+        letters += (s, inv(s))
+    rank = {x: i for i, x in enumerate(letters)}
+    stack = [((), 1, root)]
+    while stack:
+        word, p, state = stack.pop()
+        t = len(word)
+        if t:
+            state = grow(state, word[-1])
+            low = word[t - p]
+            options = [x for x in letters[rank[low] :] if x != inv(word[-1])]
+        else:
+            low, options = None, letters
+        if t + 1 < n:
+            for x in reversed(options):
+                stack.append((word + (x,), p if x == low else t + 1, state))
+            continue
+        for x in options:
+            period = p if x == low else n
+            if n % period == 0 and (t == 0 or x != inv(word[0])):
+                yield word + (x,), grow(state, x)
+
+
+def _spelled(top):
+    """The word spelled by the stack ending at ``top``."""
+    out = []
+    while top[0] is not None:
+        out.append(top[0])
+        top = top[1]
+    return tuple(reversed(out))
+
+
+def _is_rotation(core, w):
+    """Whether ``core`` is a rotation of ``w`` (same length assumed)."""
+    ww = w + w
+    return any(ww[j : j + len(w)] == core for j in range(len(w)) if w[j] == core[0])
 
 
 # --- interchange -------------------------------------------------------

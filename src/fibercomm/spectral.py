@@ -639,10 +639,6 @@ def _solve_eigen(rows, field):
     return vec
 
 
-def pf_right_eigenvector(mat, field):
-    return _solve_eigen(_int_rows(mat), field)
-
-
 def pf_left_eigenvector(mat, field):
     return _solve_eigen([list(col) for col in zip(*_int_rows(mat))], field)
 

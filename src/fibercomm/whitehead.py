@@ -11,7 +11,7 @@ from math import lcm
 
 from .errors import NotRotationless
 from .graph import rank
-from .maps import GraphMap, find_nielsen_paths, illegal_turns, iterate_map
+from .maps import GraphMap, find_nielsen_paths, illegal_turns
 from .record import factory, record
 from .words import base, inv
 
@@ -86,22 +86,6 @@ def _vertex_periods(f: GraphMap, verts):
         if cur == v:
             out.append(len(seen))
     return out or [1]
-
-
-# --- leaf segments -------------------------------------------------------
-
-
-@record
-class LeafSegments:
-    edge: str
-    power: int
-    segment: tuple
-
-
-def leaf_segments(f: GraphMap, e, n):
-    """The tightened iterate g^n(e): a finite window into the stable
-    lamination leaves."""
-    return LeafSegments(e, n, iterate_map(f, (e,), n))
 
 
 # --- stable Whitehead graphs ---------------------------------------------
@@ -258,18 +242,6 @@ def graph_automorphisms(w: WhiteheadGraph):
                 del assigned[d]
 
     backtrack({}, nodes)
-    return autos
-
-
-def brute_force_automorphisms(w: WhiteheadGraph):
-    """Oracle: exhaustive check of all node bijections."""
-    nodes = list(w.nodes)
-    adj = w.adjacency()
-    autos = []
-    for perm in permutations(nodes):
-        m = dict(zip(nodes, perm))
-        if all((m[d1] in adj[m[d2]]) == (d1 in adj[d2]) for d1 in nodes for d2 in nodes):
-            autos.append(m)
     return autos
 
 

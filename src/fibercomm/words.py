@@ -106,10 +106,6 @@ def is_cyclically_reduced(word):
     return not (len(word) >= 2 and word[0] == inv(word[-1]))
 
 
-def cyclic_rotations(word):
-    return [word[i:] + word[:i] for i in range(max(1, len(word)))]
-
-
 def conjugate_classes_equal(w1, w2):
     """Whether two words define the same conjugacy class.
 
@@ -162,30 +158,3 @@ def power_images(images, n):
     for _ in range(n):
         result = compose_images(images, result)
     return result
-
-
-def enumerate_reduced_words(symbols, max_len, cyclically_reduced=False):
-    """All nonempty reduced words up to ``max_len``, ordered by (length, lex).
-
-    Lex is the order of the letters a, ~a, b, ~b, ... (symbols sorted).
-    Each length is walked depth first, one letter at a time, so no level of
-    words is ever held in memory.
-    """
-    letters = []
-    for s in sorted(symbols):
-        letters.append(s)
-        letters.append(inv(s))
-    follow = {x: [y for y in letters if y != inv(x)] for x in letters}
-    for n in range(1, max_len + 1):
-        word, branches = [], [iter(letters)]
-        while branches:
-            x = next(branches[-1], None)
-            if x is None:
-                branches.pop()
-                if word:
-                    word.pop()
-            elif len(word) + 1 < n:
-                word.append(x)
-                branches.append(iter(follow[x]))
-            elif not (cyclically_reduced and word and word[0] == inv(x)):
-                yield (*word, x)

@@ -4,11 +4,12 @@ These are the implementations the table-driven kernels and the incremental
 searches in ``fibercomm.words`` and ``fibercomm.maps`` replaced, kept
 unchanged as a test oracle, with ``gate_partition``, the union-find over
 2N rounds of the direction map that one grouping by (vertex, Dg^N(d))
-replaced.  The only edits: ``GraphMap.edge_image``,
+replaced, and ``cyclic_rotations``, which the package no longer uses.
+The only edits: ``GraphMap.edge_image``,
 ``MarkedGraph.oriented_edges`` and ``MarkedGraph.edges_at`` became module
 functions taking the map or graph, and the functions call each other by
 their names here.  The helpers these functions call and that did not change
-(``path_src``, ``edge_dst``, ``cyclic_rotations``, ``direction_image``,
+(``path_src``, ``edge_dst``, ``direction_image``,
 ``induced_outer_automorphism`` and ``UnionFind``) come from the package.
 """
 
@@ -17,7 +18,6 @@ from itertools import product
 from fibercomm.errors import UnknownEdge
 from fibercomm.maps import ToroidalityVerdict, induced_outer_automorphism
 from fibercomm.unionfind import UnionFind
-from fibercomm.words import cyclic_rotations
 
 
 def inv(letter):
@@ -81,6 +81,10 @@ def is_cyclically_reduced(word):
     if not is_reduced(word):
         return False
     return not (len(word) >= 2 and word[0] == inv(word[-1]))
+
+
+def cyclic_rotations(word):
+    return [word[i:] + word[:i] for i in range(max(1, len(word)))]
 
 
 def enumerate_reduced_words(symbols, max_len, cyclically_reduced=False):

@@ -5,7 +5,9 @@ Zassenhaus code in ``fibercomm.spectral`` replaced, kept unchanged as a
 test oracle.  The only edits: ``pf_data`` returns the stretch factor and
 the irreducibility flag but no eigenvector, and ``is_irreducible_matrix``
 (from ``fibercomm.maps``) and ``StretchFactor`` (without ``field``) are
-copied here so that nothing in the package is needed.
+copied here so that nothing in the package is needed.  It also keeps
+``pf_right_eigenvector``, which only the tests use, as the left PF
+eigenvector of the transpose.
 """
 
 import math
@@ -17,7 +19,7 @@ import sympy
 from sympy import Poly, Rational, Symbol
 
 from fibercomm.errors import ZeroMatrix
-from fibercomm.spectral import ENCLOSURE_WIDTH, LogRatioVerdict
+from fibercomm.spectral import ENCLOSURE_WIDTH, LogRatioVerdict, pf_left_eigenvector
 
 _x = Symbol("x")
 
@@ -175,3 +177,7 @@ def _which_root(roots, enclosure, power):
     if hits:
         return hits[0]
     return None
+
+
+def pf_right_eigenvector(mat, field):
+    return pf_left_eigenvector([list(col) for col in zip(*mat)], field)

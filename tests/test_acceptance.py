@@ -39,7 +39,6 @@ from fibercomm.maps import (
 from fibercomm.spectral import log_ratio, pf_data
 from fibercomm.whitehead import (
     WhiteheadGraph,
-    brute_force_automorphisms,
     geometric_index,
     graph_automorphisms,
     principal_vertices,
@@ -49,9 +48,10 @@ from fibercomm.words import (
     apply_images,
     conjugate_classes_equal,
     cyclic_reduce,
-    enumerate_reduced_words,
     power_images,
 )
+from kernel_oracle import enumerate_reduced_words
+from whitehead_oracle import brute_force_automorphisms
 
 GOLDEN = Fraction("1.6180339887")
 PLASTIC = Fraction("1.3247179572")

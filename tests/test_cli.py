@@ -9,7 +9,8 @@ import fibercomm
 from fibercomm import covers
 from fibercomm.cli import main
 from fibercomm.covers import build_cover, enumerate_subgroups, lift_map
-from fibercomm.maps import map_power, map_to_json_dict
+from fibercomm.graph import rose
+from fibercomm.maps import GraphMap, map_power, map_to_json_dict
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,24 @@ def test_compare_negative_exits_1(fixture_dir, tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def test_compare_ignores_the_pf_root_of_a_map_that_is_not_a_train_track(fixture_dir, tmp_path):
+    # FIB followed by conjugation by a: its PF root 3.303 only bounds the
+    # growth from above, so it must not rule out H = F_2, k = 1, gamma = ~a
+    conj = GraphMap(rose(("a", "b")), {"v0": "v0"}, {"a": ("a", "a", "b", "~a"), "b": ("a",)})
+    (tmp_path / "conj.json").write_text(json.dumps(map_to_json_dict(conj)))
+    maps = [str(tmp_path / "conj.json"), str(fixture_dir / "FIB.json")]
+    out = tmp_path / "compare.json"
+    assert main(["compare", *maps, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["covers"] is True
+    assert report["witness"]["k"] == 1 and report["witness"]["inner_conjugator"] == ["~a"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(report["witness"]))
+    replay_out = tmp_path / "replay.json"
+    assert main(["compare", *maps, "--replay", str(cert), "--out", str(replay_out)]) == 0
+    assert json.loads(replay_out.read_text())["replay"] is True
 
 
 def test_minimize(fixture_dir, tmp_path):

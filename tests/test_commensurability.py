@@ -20,6 +20,7 @@ from fibercomm.commensurability import (
 from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
+    full_group,
     image_subgroup,
     lift_map,
     smallest_invariant_power,
@@ -38,6 +39,7 @@ from fibercomm.words import (
     free_reduce,
     identity_images,
     inverse,
+    power_images,
 )
 
 
@@ -170,6 +172,26 @@ def test_power_past_denominator_bound_covers(fib, phi):
     psi = from_graph_map(map_power(fib, 21))
     witness = covers_relation(psi, phi, k_max=21)
     assert witness is not None and witness.k == 21
+    assert replay_witness(witness, psi, phi)
+
+
+def test_fib_25th_power_images_cover_fib(monkeypatch):
+    # no representative attached, so every k <= 25 and all 8 signed
+    # permutations are candidates; the cyclic core lengths rule out all but
+    # (25, identity) before the conjugator solver runs
+    fib = {"a": ("a", "b"), "b": ("a",)}
+    psi, phi = OuterAutomorphism(power_images(fib, 25)), OuterAutomorphism(fib)
+    solved = []
+    solve = commensurability.solve_conjugacy_system
+
+    def recorded(equations):
+        solved.append(equations)
+        return solve(equations)
+
+    monkeypatch.setattr(commensurability, "solve_conjugacy_system", recorded)
+    witness = covers_relation(psi, phi, 25)
+    assert witness == CoveringWitness(full_group(("a", "b")), 25, (), {"a": ("a",), "b": ("b",)})
+    assert len(solved) == 1
     assert replay_witness(witness, psi, phi)
 
 

