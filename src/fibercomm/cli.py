@@ -32,6 +32,9 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+# Search bounds and their defaults; each subcommand takes the ones it reads.
+BOUNDS = {"k-max": 4, "p-max": 2, "index-max": 2, "length-bound": 6, "period-bound": 2}
+
 
 def _load_json(path):
     try:
@@ -290,40 +293,37 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--k-max", type=int, default=4)
-        p.add_argument("--p-max", type=int, default=2)
-        p.add_argument("--index-max", type=int, default=2)
-        p.add_argument("--length-bound", type=int, default=6)
-        p.add_argument("--period-bound", type=int, default=2)
-        p.add_argument("--format", choices=("json", "dot"), default="json")
+    def add_options(p, *bounds):
+        for name in bounds:
+            p.add_argument(f"--{name}", type=int, default=BOUNDS[name])
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="validate a graph or map file")
     p.add_argument("input")
-    add_common(p)
+    add_options(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="stretch factor, train track, index, toroidality")
     p.add_argument("input")
-    add_common(p)
+    add_options(p, "k-max", "p-max", "length-bound", "period-bound")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("cover", help="enumerate covers and lifts")
     p.add_argument("input")
-    add_common(p)
+    add_options(p, "k-max", "index-max")
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("compare", help="covering relation with certificate")
     p.add_argument("input")
     p.add_argument("other")
     p.add_argument("--replay", default=None, help="certificate file to re-verify")
-    add_common(p)
+    add_options(p, "k-max", "p-max")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("minimize", help="bounded minimal-element search")
     p.add_argument("input")
-    add_common(p)
+    add_options(p, "k-max", "index-max", "length-bound", "period-bound")
     p.set_defaults(func=_cmd_minimize)
 
     return parser
@@ -332,9 +332,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for bound in ("k_max", "p_max", "index_max", "length_bound", "period_bound"):
-        if getattr(args, bound) <= 0:
-            print(f"error: --{bound.replace('_', '-')} must be positive", file=sys.stderr)
+    for name in BOUNDS:
+        if getattr(args, name.replace("-", "_"), 1) <= 0:
+            print(f"error: --{name} must be positive", file=sys.stderr)
             return EXIT_INPUT
     try:
         return args.func(args)

@@ -11,7 +11,6 @@ import json
 from .covers import (
     CoveringMap,
     SubgroupGraph,
-    _bfs_tree,
     build_cover,
     check_automorphism,
     enumerate_subgroups,
@@ -25,10 +24,19 @@ from .errors import (
     NotAnAutomorphism,
     NotCommensurableRatio,
     NotRotationless,
+    PreconditionFailed,
     ResourceBound,
     SolverBound,
 )
-from .graph import MarkedGraph, OrientedEdge, loop_to_word, rank, rose, word_to_loop
+from .graph import (
+    MarkedGraph,
+    OrientedEdge,
+    bfs_marked_graph,
+    loop_to_word,
+    rank,
+    rose,
+    word_to_loop,
+)
 from .maps import (
     GraphMap,
     apply_map,
@@ -237,6 +245,7 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         subgroups = [full_group(phi.symbols)]
     else:
         subgroups = enumerate_subgroups(phi.rank, m, symbols=phi.symbols)
+    powers = [phi.images]  # powers[i] is Phi^(i+1), extended as k grows
     for H in subgroups:
         k0 = smallest_invariant_power(phi.images, H, k_max)
         if k0 is None:
@@ -248,7 +257,9 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         for k in range(k0, k_max + 1, k0):
             if forced_k is not None and k != forced_k:
                 continue
-            phik = power_images(phi.images, k)
+            while len(powers) < k:
+                powers.append(compose_images(phi.images, powers[-1]))
+            phik = powers[k - 1]
             for j, ident in enumerate(idents):
                 if targets[j] is None:
                     rhs = [apply_images(ident, psi.images[s]) for s in psi.symbols]
@@ -481,9 +492,7 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
         for e in members:
             same = p.edge_projection[e] == p.edge_projection[rep]
             eproj[e] = qid if same else inv(qid)
-    qvertices = tuple(sorted(vname.values()))
-    tree = _bfs_tree(qvertices, qedges)
-    quotient = MarkedGraph(qvertices, qedges, frozenset(tree))
+    quotient = bfs_marked_graph(tuple(sorted(vname.values())), qedges)
 
     def push(path):
         out = []
@@ -529,10 +538,15 @@ def gcd_reduce(phi1: OuterAutomorphism, phi2: OuterAutomorphism, denom_bound=20)
 
     Returns ("reduced", OuterAutomorphism, (m, n)) with the word-level
     composite phi2^n ∘ phi1^m, or ("already_integral", None, None).
+    Raises PreconditionFailed unless both are expanding train tracks, and
+    NotCommensurableRatio when no ratio with denominator <= denom_bound
+    relates their stretch factors.
     """
     s1, s2 = phi1.stretch_factor(), phi2.stretch_factor()
     if s1 is None or s2 is None:
-        raise ValueError("gcd_reduce needs train-track representatives for both inputs")
+        raise PreconditionFailed("gcd_reduce needs train-track representatives for both inputs")
+    if not (s1.expanding and s2.expanding):
+        raise PreconditionFailed("gcd_reduce needs expanding stretch factors")
     from .spectral import log_ratio
 
     verdict = log_ratio(s1, s2, denom_bound)
@@ -628,7 +642,7 @@ def minimal_element_search(
         for other in classmates:
             try:
                 verdict = gcd_reduce(candidate, other)
-            except (NotCommensurableRatio, ValueError):
+            except (NotCommensurableRatio, PreconditionFailed):
                 continue
             if verdict[0] == "reduced":
                 report["reductions"].append(("gcd", verdict[2]))

@@ -13,7 +13,7 @@ from .errors import (
     ResourceBound,
     SolverBound,
 )
-from .graph import MarkedGraph, OrientedEdge, loop_to_word
+from .graph import MarkedGraph, OrientedEdge, bfs_marked_graph, loop_to_word
 from .record import record
 from .unionfind import UnionFind
 from .words import (
@@ -72,22 +72,9 @@ class SubgroupGraph:
     # --- canonical form -------------------------------------------------
 
     def canonical(self):
-        """Canonically relabeled copy (BFS from the basepoint, fixed letter
-        order); two graphs are equal as subgroups iff canonical forms match."""
-        inn = self._in_map
-        order = {self.basepoint: 0}
-        queue = [self.basepoint]
-        letters = []
-        for s in self.symbols:
-            letters.append((s, True))
-            letters.append((s, False))
-        while queue:
-            state = queue.pop(0)
-            for sym, fwd in letters:
-                nxt = self.trans.get((state, sym)) if fwd else inn.get((state, sym))
-                if nxt is not None and nxt not in order:
-                    order[nxt] = len(order)
-                    queue.append(nxt)
+        """Canonically relabeled copy (states numbered in the BFS order of
+        ``_tree``); two graphs are equal as subgroups iff canonical forms match."""
+        order = {state: i for i, state in enumerate(self._tree[0])}
         trans = {
             (order[s], x): order[t] for (s, x), t in self.trans.items() if s in order
         }
@@ -454,29 +441,8 @@ def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
             eid = f"{e}@{s}"
             edges[eid] = OrientedEdge(eid, f"{data.src}@{s}", f"{data.dst}@{t}", data.length)
             edge_projection[eid] = e
-    tree = _bfs_tree(vertices, edges)
-    total = MarkedGraph(tuple(vertices), edges, frozenset(tree))
+    total = bfs_marked_graph(vertices, edges)
     return CoveringMap(total, base_graph, vertex_projection, edge_projection, H, fiber_state)
-
-
-def _bfs_tree(vertices, edges):
-    """Deterministic spanning tree (sorted BFS) over an edge dict."""
-    adjacency = {v: [] for v in vertices}
-    for e, data in sorted(edges.items()):
-        adjacency[data.src].append((e, data.dst))
-        adjacency[data.dst].append((e, data.src))
-    root = sorted(vertices)[0]
-    seen = {root}
-    tree = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for e, w in sorted(adjacency[v]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(e)
-                queue.append(w)
-    return tree
 
 
 # --- automorphism action on subgroups -----------------------------------

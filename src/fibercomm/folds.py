@@ -9,10 +9,10 @@ import json
 from fractions import Fraction
 
 from .errors import PreconditionFailed
-from .graph import MarkedGraph, OrientedEdge
-from .maps import GraphMap, apply_map, is_train_track, iterate_map
+from .graph import MarkedGraph, OrientedEdge, bfs_marked_graph
+from .maps import GraphMap, apply_map, is_train_track
 from .record import factory, record
-from .words import base, free_reduce, inv, inverse, is_positive
+from .words import base, free_reduce, inv, is_positive
 
 
 @record
@@ -104,10 +104,7 @@ def stallings_fold(f: GraphMap, e1, e2, require_train_track=True):
         if e == base(e2):
             continue
         new_edges[e] = OrientedEdge(e, vq[data.src], vq[data.dst], data.length)
-    from .covers import _bfs_tree
-
-    tree = _bfs_tree(new_vertices, new_edges)
-    folded = MarkedGraph(new_vertices, new_edges, frozenset(tree))
+    folded = bfs_marked_graph(new_vertices, new_edges)
 
     def push(path):
         return free_reduce(tuple(_quotient_letter(eq, d) for d in path))

@@ -92,13 +92,9 @@ class MarkedGraph:
             return True
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
-        adjacency = {}
-        for e, data in self.edges.items():
-            adjacency.setdefault(data.src, []).append(data.dst)
-            adjacency.setdefault(data.dst, []).append(data.src)
         while stack:
-            v = stack.pop()
-            for w in adjacency.get(v, []):
+            for d in self.edges_at(stack.pop()):
+                w = self.edge_dst(d)
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -123,37 +119,28 @@ class MarkedGraph:
     # --- marking -------------------------------------------------------
 
     @cached_property
-    def _tree_adjacency(self):
-        """Vertex -> sorted (oriented tree edge, far end) pairs."""
-        adj = {v: [] for v in self.vertices}
-        for e in self.spanning_tree:
-            data = self.edges[e]
-            adj[data.src].append((e, data.dst))
-            adj[data.dst].append((inv(e), data.src))
-        return {v: sorted(out) for v, out in adj.items()}
+    def _root_paths(self):
+        """Vertex -> the spanning-tree path to it from ``vertices[0]``, for
+        every vertex the tree reaches from there."""
+        if not self.vertices:
+            return {}
+        paths = {self.vertices[0]: ()}
+        stack = [self.vertices[0]]
+        while stack:
+            v = stack.pop()
+            for d in self.edges_at(v):
+                w = self.edge_dst(d)
+                if w not in paths and base(d) in self.spanning_tree:
+                    paths[w] = paths[v] + (d,)
+                    stack.append(w)
+        return paths
 
     def tree_path(self, u, v):
         """Reduced edge path from u to v inside the spanning tree."""
-        if u == v:
-            return ()
-        adj = self._tree_adjacency
-        prev = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for e, y in adj[x]:
-                if y not in prev:
-                    prev[y] = (x, e)
-                    stack.append(y)
-        if v not in prev:
+        paths = self._root_paths
+        if u not in paths or v not in paths:
             raise DisconnectedGraph(f"no tree path {u} -> {v}")
-        path = []
-        x = v
-        while prev[x] is not None:
-            px, e = prev[x]
-            path.append(e)
-            x = px
-        return tuple(reversed(path))
+        return free_reduce(inverse(paths[u]) + paths[v])
 
 
 # --- operations --------------------------------------------------------
@@ -177,22 +164,8 @@ def validate_graph(g: MarkedGraph):
             violations.append(f"tree edge {e} is not an edge")
     # the tree must be a spanning tree
     if g.spanning_tree <= set(g.edges):
-        tree_graph = {v: [] for v in g.vertices}
-        for e in g.spanning_tree:
-            data = g.edges[e]
-            tree_graph[data.src].append(data.dst)
-            tree_graph[data.dst].append(data.src)
-        if g.vertices:
-            seen = {g.vertices[0]}
-            stack = [g.vertices[0]]
-            while stack:
-                v = stack.pop()
-                for w in tree_graph[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(g.vertices):
-                violations.append("spanning tree does not touch every vertex")
+        if any(v not in g._root_paths for v in g.vertices):
+            violations.append("spanning tree does not touch every vertex")
         if len(g.spanning_tree) != max(0, len(g.vertices) - 1):
             violations.append("spanning tree has wrong edge count")
     nontree = set(g.edges) - g.spanning_tree
@@ -208,6 +181,24 @@ def rank(g: MarkedGraph):
     if not g.is_connected():
         raise DisconnectedGraph()
     return len(g.edges) - len(g.vertices) + 1
+
+
+def bfs_marked_graph(vertices, edges):
+    """The graph on ``edges`` marked by its breadth-first spanning tree from
+    the least vertex, taking the edges at each vertex in sorted order."""
+    g = MarkedGraph(vertices, edges)
+    root = min(g.vertices)
+    seen = {root}
+    tree = set()
+    queue = [root]
+    for v in queue:
+        for d in g.edges_at(v):
+            w = g.edge_dst(d)
+            if w not in seen:
+                seen.add(w)
+                tree.add(base(d))
+                queue.append(w)
+    return MarkedGraph(g.vertices, edges, frozenset(tree))
 
 
 def tighten(g: MarkedGraph, path):

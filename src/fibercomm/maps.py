@@ -1,12 +1,13 @@
 """Topological representatives g: G -> G and train track verification.
 
-Turn legality is decided by finite orbit closure of the direction map on the
-turn set, so every verdict here is exact.  Stretch-factor data for the
+Turn legality is read off the gates of the direction map, which its finite
+orbits decide, so every verdict here is exact.  Stretch-factor data for the
 transition matrix lives in :mod:`fibercomm.spectral`.
 """
 
 from collections import Counter
 from functools import cached_property
+from itertools import combinations
 
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge, ZeroMatrix
 from .graph import MarkedGraph, loop_to_word, word_to_loop
@@ -87,6 +88,11 @@ class GraphMap:
 
     def direction_image(self, d):
         return self.edge_image(d)[0]
+
+    @cached_property
+    def direction_map(self):
+        """The direction map Dg: direction -> first direction of its image."""
+        return {d: self._images[d][0] for d in self.directions()}
 
     def taken_turns(self):
         """Turns crossed by edge images: pairs (rev(e_i), e_{i+1})."""
@@ -180,31 +186,12 @@ class TrainTrackVerdict:
     witness: tuple = None  # (power, edge) exhibiting cancellation, if found
 
 
-def _all_turns(g: MarkedGraph):
-    turns = []
-    for v in g.vertices:
-        dirs = g.edges_at(v)
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                turns.append(frozenset((dirs[i], dirs[j])))
-    return turns
-
-
 def illegal_turns(f: GraphMap):
-    """Turns whose direction-map orbit reaches a degenerate turn."""
-    dmap = {d: f.direction_image(d) for d in f.directions()}
-    result = set()
-    for turn in _all_turns(f.domain):
-        d1, d2 = tuple(turn) if len(turn) == 2 else (next(iter(turn)),) * 2
-        seen = set()
-        cur = (d1, d2)
-        while frozenset(cur) not in seen:
-            seen.add(frozenset(cur))
-            cur = (dmap[cur[0]], dmap[cur[1]])
-            if cur[0] == cur[1]:
-                result.add(turn)
-                break
-    return frozenset(result)
+    """Turns whose Dg-orbit reaches a degenerate turn: the pairs of
+    directions inside one gate (Bestvina and Handel, Ann. of Math. 1992)."""
+    return frozenset(
+        frozenset(pair) for gate in gate_partition(f) for pair in combinations(gate, 2)
+    )
 
 
 def gate_partition(f: GraphMap):
@@ -216,12 +203,11 @@ def gate_partition(f: GraphMap):
     distinct directions.  So the gates are the classes of
     (vertex, Dg^N(d)).
     """
-    dirs = f.directions()
-    dmap = {d: f.direction_image(d) for d in dirs}
+    dmap = f.direction_map
     classes = {}
-    for d in dirs:
+    for d in dmap:
         image = d
-        for _ in range(len(dirs)):
+        for _ in range(len(dmap)):
             image = dmap[image]
         classes.setdefault((f.domain.edge_src(d), image), []).append(d)
     return tuple(sorted(frozenset(c) for c in classes.values()))
@@ -244,7 +230,7 @@ WITNESS_POWER_BOUND = 10
 
 
 def is_train_track(f: GraphMap):
-    """Exact train track verdict via turn orbit closure.
+    """Exact train track verdict: no taken turn lies inside a gate.
 
     ``WITNESS_POWER_BOUND`` only caps the search for a reported cancellation
     witness; the verdict itself is decided on the finite turn set.
@@ -456,8 +442,6 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
     results = []
     lam = field.root()
     for turn in sorted(bad, key=sorted):
-        if len(turn) != 2:
-            continue
         d1, d2 = sorted(turn)
         for p in range(1, period_bound + 1):
             lam_p = field.one()

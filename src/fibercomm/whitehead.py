@@ -6,14 +6,14 @@ principal vertices: vertices are the periodic directions, edges are the
 taken turns of the leaf segments saturated under the direction map.
 """
 
+from collections import Counter
 from itertools import permutations
 from math import lcm
 
 from .errors import NotRotationless
 from .graph import rank
-from .maps import GraphMap, find_nielsen_paths, illegal_turns
+from .maps import GraphMap, find_nielsen_paths
 from .record import factory, record
-from .words import base, inv
 
 
 # --- direction orbits ----------------------------------------------------
@@ -21,10 +21,9 @@ from .words import base, inv
 
 def periodic_directions(f: GraphMap):
     """Map direction -> period for the Dg-periodic directions."""
-    dirs = f.directions()
-    dmap = {d: f.direction_image(d) for d in dirs}
+    dmap = f.direction_map
     out = {}
-    for d in dirs:
+    for d in dmap:
         cur = d
         seen = []
         while cur not in seen:
@@ -35,43 +34,29 @@ def periodic_directions(f: GraphMap):
     return out
 
 
-def principal_vertices(f: GraphMap, nielsen_bounds=None):
-    """Vertices with >= 3 periodic directions, plus vertex endpoints of
-    indivisible periodic Nielsen paths found within bounds.
+def _principal(f: GraphMap):
+    """The periodic directions and the sorted vertices with >= 3 of them."""
+    periods = periodic_directions(f)
+    count = Counter(map(f.domain.edge_src, periods))
+    return periods, sorted(v for v in f.domain.vertices if count[v] >= 3)
+
+
+def principal_vertices(f: GraphMap):
+    """Vertices with >= 3 periodic directions.
 
     Returns ``(vertices, suspicious)``; the flag is set when no principal
     vertex is found at all (at least one must exist).
     """
-    g = f.domain
-    periods = periodic_directions(f)
-    verts = set()
-    for v in g.vertices:
-        count = sum(1 for d in periods if g.edge_src(d) == v)
-        if count >= 3:
-            verts.add(v)
-    if nielsen_bounds is not None:
-        for np_ in find_nielsen_paths(f, *nielsen_bounds):
-            if not np_.indivisible:
-                continue
-            for end in np_.endpoints:
-                if end[0] == "vertex":
-                    verts.add(end[1])
-    return sorted(verts), not verts
+    _, verts = _principal(f)
+    return verts, not verts
 
 
 def rotationless_power(f: GraphMap, k_max):
     """Least k <= k_max making every principal vertex and periodic direction
     there fixed; None when lcm of the periods exceeds the bound."""
-    g = f.domain
-    periods = periodic_directions(f)
-    verts, _ = principal_vertices(f)
-    relevant = [1]
-    for v in verts:
-        for d, p in periods.items():
-            if g.edge_src(d) == v:
-                relevant.append(p)
-    vertex_orbit = _vertex_periods(f, verts)
-    k = lcm(*relevant, *vertex_orbit)
+    periods, verts = _principal(f)
+    relevant = [p for d, p in periods.items() if f.domain.edge_src(d) in verts]
+    k = lcm(*relevant, *_vertex_periods(f, verts))
     return k if k <= k_max else None
 
 
@@ -118,17 +103,11 @@ class WhiteheadGraph:
         return "\n".join(lines)
 
 
-def _is_rotationless(f: GraphMap):
-    g = f.domain
-    periods = periodic_directions(f)
-    verts, _ = principal_vertices(f)
-    for v in verts:
-        if f.vertex_map[v] != v:
-            return False
-        for d, p in periods.items():
-            if g.edge_src(d) == v and p != 1:
-                return False
-    return True
+def _is_rotationless(f: GraphMap, periods, verts):
+    """Whether f fixes each principal vertex and each periodic direction there."""
+    return all(f.vertex_map[v] == v for v in verts) and all(
+        p == 1 for d, p in periods.items() if f.domain.edge_src(d) in verts
+    )
 
 
 def saturated_turns(f: GraphMap):
@@ -137,7 +116,7 @@ def saturated_turns(f: GraphMap):
     A worklist holds the turns not yet mapped; each new nondegenerate image
     joins it once.  The turn set is finite, so the closure is exact.
     """
-    dmap = {d: f.direction_image(d) for d in f.directions()}
+    dmap = f.direction_map
     turns = set(f.taken_turns())
     work = list(turns)
     while work:
@@ -154,12 +133,11 @@ def stable_whitehead_graphs(f: GraphMap):
     Edges are the taken turns between periodic directions, saturated under
     the direction map (``saturated_turns``).
     """
-    if not _is_rotationless(f):
+    periods, verts = _principal(f)
+    if not _is_rotationless(f, periods, verts):
         raise NotRotationless()
     g = f.domain
-    periods = periodic_directions(f)
     turns = saturated_turns(f)
-    verts, _ = principal_vertices(f)
     graphs = []
     for v in verts:
         nodes = tuple(sorted(d for d in periods if g.edge_src(d) == v and periods[d] == 1))
@@ -185,11 +163,10 @@ class IndexReport:
 def geometric_index(f: GraphMap, nielsen_bounds=(2, 6)):
     """Geometric index proxy: sum of (fixed directions - 2) over principal
     vertices, with the ageometricity inequality index < rank - 2."""
-    if not _is_rotationless(f):
+    periods, verts = _principal(f)
+    if not _is_rotationless(f, periods, verts):
         raise NotRotationless()
     g = f.domain
-    periods = periodic_directions(f)
-    verts, _ = principal_vertices(f)
     counts = []
     for v in verts:
         counts.append(sum(1 for d in periods if g.edge_src(d) == v and periods[d] == 1))

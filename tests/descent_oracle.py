@@ -5,14 +5,16 @@ quotient before it read the classes off the fibers of the covering, kept
 unchanged as a test oracle.  It closes the fiber equivalence under the map
 on vertices and on directions, checks the classes for consistency, and only
 then names them.  The only edits: ``StabilizationBound``, which the package
-no longer has, is defined here, and the function-local imports moved to
-the top.  Everything it calls comes from the package.
+no longer has, is defined here, the function-local imports moved to the
+top, and the quotient is marked by ``bfs_marked_graph``, which replaced the
+private spanning-tree helper it called.  Everything it calls comes from the
+package.
 """
 
 from fibercomm.commensurability import QuotientResult
-from fibercomm.covers import CoveringMap, _bfs_tree, fold_subgroup_graph
+from fibercomm.covers import CoveringMap, fold_subgroup_graph
 from fibercomm.errors import FibercommError, NotRotationless
-from fibercomm.graph import MarkedGraph, OrientedEdge, loop_to_word, rank, word_to_loop
+from fibercomm.graph import OrientedEdge, bfs_marked_graph, loop_to_word, rank, word_to_loop
 from fibercomm.maps import GraphMap, apply_map, map_power
 from fibercomm.unionfind import UnionFind
 from fibercomm.whitehead import angle_labeling
@@ -143,8 +145,7 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
             else:
                 return ("not_descendable", f"edge {e} matches {rep} in no orientation")
     qvertices = tuple(sorted(set(vproj.values())))
-    tree = _bfs_tree(qvertices, qedges)
-    quotient = MarkedGraph(qvertices, qedges, frozenset(tree))
+    quotient = bfs_marked_graph(qvertices, qedges)
 
     def push(path):
         out = []

@@ -11,11 +11,20 @@ functions taking the map or graph, and the functions call each other by
 their names here.  The helpers these functions call and that did not change
 (``path_src``, ``edge_dst``, ``direction_image``,
 ``induced_outer_automorphism`` and ``UnionFind``) come from the package.
+
+The second part keeps the walkers that each built their own adjacency or
+orbit before the graph's ``edges_at``, its cached root paths and the map's
+gates served them: ``illegal_turns`` with ``_all_turns`` (one Dg-orbit walk
+per turn), the depth-first ``tree_path``, ``is_connected`` and
+``validate_graph`` with their private adjacencies, the covering's
+``_bfs_tree``, and the breadth-first ``SubgroupGraph.canonical``.  Methods
+became module functions taking the graph; nothing else changed.
 """
 
 from itertools import product
 
-from fibercomm.errors import UnknownEdge
+from fibercomm.covers import SubgroupGraph
+from fibercomm.errors import DisconnectedGraph, UnknownEdge
 from fibercomm.maps import ToroidalityVerdict, induced_outer_automorphism
 from fibercomm.unionfind import UnionFind
 
@@ -247,3 +256,172 @@ def gate_partition(f):
     for d in dirs:
         classes.setdefault(sets.find(d), []).append(d)
     return tuple(sorted(frozenset(c) for c in classes.values()))
+
+
+# --- walkers with their own adjacency or orbit ---------------------------
+
+
+def _all_turns(g):
+    turns = []
+    for v in g.vertices:
+        dirs = g.edges_at(v)
+        for i in range(len(dirs)):
+            for j in range(i + 1, len(dirs)):
+                turns.append(frozenset((dirs[i], dirs[j])))
+    return turns
+
+
+def illegal_turns(f):
+    """Turns whose direction-map orbit reaches a degenerate turn."""
+    dmap = {d: f.direction_image(d) for d in f.directions()}
+    result = set()
+    for turn in _all_turns(f.domain):
+        d1, d2 = tuple(turn) if len(turn) == 2 else (next(iter(turn)),) * 2
+        seen = set()
+        cur = (d1, d2)
+        while frozenset(cur) not in seen:
+            seen.add(frozenset(cur))
+            cur = (dmap[cur[0]], dmap[cur[1]])
+            if cur[0] == cur[1]:
+                result.add(turn)
+                break
+    return frozenset(result)
+
+
+def _tree_adjacency(g):
+    """Vertex -> sorted (oriented tree edge, far end) pairs."""
+    adj = {v: [] for v in g.vertices}
+    for e in g.spanning_tree:
+        data = g.edges[e]
+        adj[data.src].append((e, data.dst))
+        adj[data.dst].append((inv(e), data.src))
+    return {v: sorted(out) for v, out in adj.items()}
+
+
+def tree_path(g, u, v):
+    """Reduced edge path from u to v inside the spanning tree."""
+    if u == v:
+        return ()
+    adj = _tree_adjacency(g)
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for e, y in adj[x]:
+            if y not in prev:
+                prev[y] = (x, e)
+                stack.append(y)
+    if v not in prev:
+        raise DisconnectedGraph(f"no tree path {u} -> {v}")
+    path = []
+    x = v
+    while prev[x] is not None:
+        px, e = prev[x]
+        path.append(e)
+        x = px
+    return tuple(reversed(path))
+
+
+def is_connected(g):
+    if not g.vertices:
+        return True
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    adjacency = {}
+    for e, data in g.edges.items():
+        adjacency.setdefault(data.src, []).append(data.dst)
+        adjacency.setdefault(data.dst, []).append(data.src)
+    while stack:
+        v = stack.pop()
+        for w in adjacency.get(v, []):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
+
+
+def validate_graph(g):
+    """Report-style validation of all MarkedGraph invariants."""
+    violations = []
+    for e, data in g.edges.items():
+        if data.length <= 0:
+            violations.append(f"nonpositive length on edge {e}")
+        if data.src not in g.vertices or data.dst not in g.vertices:
+            violations.append(f"edge {e} has unknown endpoint")
+    if not is_connected(g):
+        violations.append("graph is disconnected")
+    for v in g.vertices:
+        if g.valence(v) < 2:
+            violations.append(f"valence < 2 at vertex {v}")
+    for e in g.spanning_tree:
+        if e not in g.edges:
+            violations.append(f"tree edge {e} is not an edge")
+    # the tree must be a spanning tree
+    if g.spanning_tree <= set(g.edges):
+        tree_graph = {v: [] for v in g.vertices}
+        for e in g.spanning_tree:
+            data = g.edges[e]
+            tree_graph[data.src].append(data.dst)
+            tree_graph[data.dst].append(data.src)
+        if g.vertices:
+            seen = {g.vertices[0]}
+            stack = [g.vertices[0]]
+            while stack:
+                v = stack.pop()
+                for w in tree_graph[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(g.vertices):
+                violations.append("spanning tree does not touch every vertex")
+        if len(g.spanning_tree) != max(0, len(g.vertices) - 1):
+            violations.append("spanning tree has wrong edge count")
+    nontree = set(g.edges) - g.spanning_tree
+    if set(g.basis_labels) != nontree:
+        violations.append("basis labels do not match non-tree edges")
+    elif len(set(g.basis_labels.values())) != len(nontree):
+        violations.append("basis labels are not distinct")
+    return violations
+
+
+def _bfs_tree(vertices, edges):
+    """Deterministic spanning tree (sorted BFS) over an edge dict."""
+    adjacency = {v: [] for v in vertices}
+    for e, data in sorted(edges.items()):
+        adjacency[data.src].append((e, data.dst))
+        adjacency[data.dst].append((e, data.src))
+    root = sorted(vertices)[0]
+    seen = {root}
+    tree = set()
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for e, w in sorted(adjacency[v]):
+            if w not in seen:
+                seen.add(w)
+                tree.add(e)
+                queue.append(w)
+    return tree
+
+
+def canonical(sg):
+    """Canonically relabeled copy (BFS from the basepoint, fixed letter
+    order); two graphs are equal as subgroups iff canonical forms match."""
+    inn = sg._in_map
+    order = {sg.basepoint: 0}
+    queue = [sg.basepoint]
+    letters = []
+    for s in sg.symbols:
+        letters.append((s, True))
+        letters.append((s, False))
+    while queue:
+        state = queue.pop(0)
+        for sym, fwd in letters:
+            nxt = sg.trans.get((state, sym)) if fwd else inn.get((state, sym))
+            if nxt is not None and nxt not in order:
+                order[nxt] = len(order)
+                queue.append(nxt)
+    trans = {
+        (order[s], x): order[t] for (s, x), t in sg.trans.items() if s in order
+    }
+    return SubgroupGraph(sg.symbols, tuple(range(len(order))), trans, 0)

@@ -65,6 +65,27 @@ def test_bad_bound_exits_2(fixture_dir, capsys):
     assert main(["analyze", str(fixture_dir / "FIB.json"), "--k-max", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("validate", "--k-max"),
+        ("validate", "--format"),
+        ("cover", "--p-max"),
+        ("cover", "--length-bound"),
+        ("compare", "--length-bound"),
+        ("compare", "--index-max"),
+        ("minimize", "--p-max"),
+    ],
+)
+def test_option_a_command_does_not_read_exits_2(fixture_dir, command, option, capsys):
+    inputs = [str(fixture_dir / "FIB.json")] * (2 if command == "compare" else 1)
+    value = "json" if option == "--format" else "2"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, option, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_analyze_fib(fixture_dir, tmp_path):
     out = tmp_path / "fib.json"
     assert main(["analyze", str(fixture_dir / "FIB.json"), "--out", str(out)]) == 0

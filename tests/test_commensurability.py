@@ -27,8 +27,13 @@ from fibercomm.covers import (
     subgroup_from_json_dict,
     subgroup_to_json_dict,
 )
-from fibercomm import commensurability, whitehead
-from fibercomm.errors import NotAnAutomorphism, NotCommensurableRatio, NotRotationless
+from fibercomm import commensurability, spectral, whitehead, words
+from fibercomm.errors import (
+    NotAnAutomorphism,
+    NotCommensurableRatio,
+    NotRotationless,
+    PreconditionFailed,
+)
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import (
@@ -189,9 +194,21 @@ def test_fib_25th_power_images_cover_fib(monkeypatch):
         return solve(equations)
 
     monkeypatch.setattr(commensurability, "solve_conjugacy_system", recorded)
+    # Phi^k is built once for all k: 24 compositions, and 25 more in the
+    # replay of the witness
+    composed = []
+    compose = words.compose_images
+
+    def counted(outer, inner):
+        composed.append(1)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(words, "compose_images", counted)
+    monkeypatch.setattr(commensurability, "compose_images", counted)
     witness = covers_relation(psi, phi, 25)
     assert witness == CoveringWitness(full_group(("a", "b")), 25, (), {"a": ("a",), "b": ("b",)})
     assert len(solved) == 1
+    assert len(composed) <= 50
     assert replay_witness(witness, psi, phi)
 
 
@@ -325,6 +342,29 @@ def test_gcd_reduce_integral(phi):
 def test_gcd_reduce_incommensurable(phi, plast):
     with pytest.raises(NotCommensurableRatio):
         gcd_reduce(phi, from_graph_map(plast), denom_bound=10)
+
+
+def test_gcd_reduce_refuses_maps_that_are_not_expanding_train_tracks(phi):
+    g = rose(("a", "b"))
+    cancels = from_graph_map(GraphMap(g, {"v0": "v0"}, {"a": ("a", "b"), "b": ("~a",)}))
+    swap = from_graph_map(GraphMap(g, {"v0": "v0"}, {"a": ("b",), "b": ("a",)}))
+    assert cancels.stretch_factor() is None
+    assert not swap.stretch_factor().expanding
+    for other in (cancels, swap, OuterAutomorphism(phi.images)):
+        with pytest.raises(PreconditionFailed):
+            gcd_reduce(phi, other)
+    # such classmates are skipped by the minimal element search
+    report = minimal_element_search(phi, k_max=3, index_max=2, classmates=(cancels, swap))
+    assert report["reductions"] == []
+
+
+def test_minimize_propagates_a_value_error_from_log_ratio(phi, monkeypatch):
+    def broken(*args):
+        raise ValueError("bug in log_ratio")
+
+    monkeypatch.setattr(spectral, "log_ratio", broken)
+    with pytest.raises(ValueError, match="bug in log_ratio"):
+        minimal_element_search(phi, k_max=3, index_max=2, classmates=(phi.power(2),))
 
 
 # --- minimal element search ----------------------------------------------

@@ -50,6 +50,19 @@ def test_validate_flags_valence_one():
     assert any("valence" in p for p in problems)
 
 
+def test_validate_reports_a_tree_edge_with_an_unknown_endpoint():
+    # the tree walk reads the graph's own adjacency, so an endpoint outside
+    # the vertex list is reported rather than raised as a KeyError
+    edges = {
+        "a": OrientedEdge("a", "v0", "v0"),
+        "t": OrientedEdge("t", "v0", "nowhere"),
+    }
+    g = MarkedGraph(("v0", "v1"), edges, frozenset({"t"}))
+    problems = validate_graph(g)
+    assert "edge t has unknown endpoint" in problems
+    assert "spanning tree does not touch every vertex" in problems
+
+
 def test_loop_word_round_trip_on_theta():
     g = theta_graph()
     loop = ("q", "~p")  # loop at u through v

@@ -8,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as old
 from fibercomm import maps, words
-from fibercomm.covers import build_cover, enumerate_subgroups, lift_map, smallest_invariant_power
+from fibercomm.covers import (
+    SubgroupGraph,
+    build_cover,
+    enumerate_subgroups,
+    fold_subgroup_graph,
+    lift_map,
+    smallest_invariant_power,
+)
 from fibercomm.errors import UnknownEdge
-from fibercomm.graph import MarkedGraph, OrientedEdge, rose
+from fibercomm.graph import MarkedGraph, OrientedEdge, bfs_marked_graph, rose, validate_graph
 from fibercomm.maps import GraphMap, induced_outer_automorphism, map_power
 from fibercomm.whitehead import rotationless_power
 
@@ -107,6 +114,7 @@ def test_edge_image_matches_oracle(kernel_maps, name):
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_gate_partition_matches_oracle(kernel_maps, name):
     assert maps.gate_partition(kernel_maps[name]) == old.gate_partition(kernel_maps[name])
+    assert maps.illegal_turns(kernel_maps[name]) == old.illegal_turns(kernel_maps[name])
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)
@@ -340,19 +348,99 @@ def test_gates_whose_orbits_meet_late():
     assert frozenset(xs + ["y", "c"]) in gates
 
 
-@pytest.mark.parametrize("name,m", [("FIB", 2), ("FIB", 3), ("PLAST", 2), ("A3", 2)])
+def assert_graph_walkers_match_oracle(g):
+    """Tree paths, connectivity, validation and the breadth-first marking of
+    ``g`` against the walkers with their own adjacency."""
+    for u in g.vertices:
+        for v in g.vertices:
+            assert g.tree_path(u, v) == old.tree_path(g, u, v)
+    assert g.is_connected() == old.is_connected(g)
+    assert validate_graph(g) == old.validate_graph(g)
+    marked = bfs_marked_graph(g.vertices, g.edges)
+    assert marked.spanning_tree == old._bfs_tree(g.vertices, g.edges)
+    assert (marked.vertices, marked.edges) == (g.vertices, g.edges)
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [("FIB", 2), ("FIB", 3), ("PLAST", 2), ("PLAST", 3), ("A3", 2), ("A3", 3)],
+)
 def test_gate_partition_matches_oracle_on_lifts(kernel_maps, name, m):
-    # multi-vertex maps: the lift of f^k to every index-m cover H with f^k(H) = H
+    # multi-vertex maps: the lift of f^k to every index-m cover H with f^k(H) = H;
+    # A3's lifts at k = 6 take half a minute each, so its index-3 covers stop at 4
     f = kernel_maps[name]
     images = induced_outer_automorphism(f)
     lifts = 0
     for H in enumerate_subgroups(len(images), m, symbols=sorted(images)):
-        k = smallest_invariant_power(images, H, 7)
-        lifted = None if k is None else lift_map(f, build_cover(f.domain, H), k)
+        k = smallest_invariant_power(images, H, 4 if (name, m) == ("A3", 3) else 7)
+        cover = build_cover(f.domain, H)
+        lifted = None if k is None else lift_map(f, cover, k)
         if lifted is not None:
             assert maps.gate_partition(lifted) == old.gate_partition(lifted)
+            assert maps.illegal_turns(lifted) == old.illegal_turns(lifted)
             lifts += 1
+        total = cover.total
+        assert total.spanning_tree == old._bfs_tree(total.vertices, total.edges)
+        assert_graph_walkers_match_oracle(total)
     assert lifts
+
+
+@given(f=graph_maps())
+@settings(max_examples=200, deadline=None)
+def test_illegal_turns_and_graph_walkers_match_oracle_on_random_maps(f):
+    assert maps.illegal_turns(f) == old.illegal_turns(f)
+    assert_graph_walkers_match_oracle(f.domain)
+
+
+def _graph(vertices, edges, tree):
+    return MarkedGraph(
+        tuple(vertices),
+        {e: OrientedEdge(e, src, dst) for e, (src, dst) in edges.items()},
+        frozenset(tree),
+    )
+
+
+TRIANGLE = {"t1": ("u", "v"), "t2": ("v", "w"), "x": ("w", "u"), "y": ("u", "u")}
+DAMAGED_GRAPHS = {
+    "tree-missing-a-vertex": _graph("uvw", TRIANGLE, {"t1"}),
+    "tree-with-a-cycle": _graph("uvw", {**TRIANGLE, "t0": ("v", "u")}, {"t0", "t1"}),
+    "tree-edge-not-an-edge": _graph("uvw", TRIANGLE, {"t1", "t2", "zz"}),
+    "disconnected": _graph(
+        "uvwz", {**TRIANGLE, "z1": ("z", "z"), "z2": ("z", "z")}, {"t1", "t2"}
+    ),
+    "sound": _graph("uvw", TRIANGLE, {"t1", "t2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_GRAPHS))
+def test_validate_graph_matches_oracle_on_damaged_graphs(name):
+    g = DAMAGED_GRAPHS[name]
+    verdict = validate_graph(g)
+    assert verdict == old.validate_graph(g)
+    assert g.is_connected() == old.is_connected(g)
+    assert bool(verdict) == (name != "sound")
+
+
+@st.composite
+def relabeled_subgroup_graphs(draw):
+    """A folded subgroup graph of F(a, b, c) with its states renamed and
+    its basepoint moved to an arbitrary state."""
+    letters = ("a", "b", "c", "~a", "~b", "~c")
+    word = st.lists(st.sampled_from(letters), max_size=8).map(tuple)
+    sg = fold_subgroup_graph(draw(st.lists(word, max_size=4)), ("a", "b", "c"))
+    names = dict(zip(sg.states, draw(st.permutations([f"s{i}" for i in sg.states]))))
+    trans = {(names[s], x): names[t] for (s, x), t in sg.trans.items()}
+    basepoint = names[draw(st.sampled_from(sg.states))]
+    return SubgroupGraph(sg.symbols, tuple(names.values()), trans, basepoint)
+
+
+@given(sg=relabeled_subgroup_graphs())
+@settings(max_examples=200, deadline=None)
+def test_canonical_matches_oracle_on_random_subgroup_graphs(sg):
+    new, ref = sg.canonical(), old.canonical(sg)
+    assert (new.symbols, new.states, new.trans, new.basepoint) == (
+        ref.symbols, ref.states, ref.trans, ref.basepoint
+    )
 
 
 def test_prune_keeps_a_bound_equal_to_the_length_bound():
