@@ -3,13 +3,14 @@
 Run with:  python3 demos/covering_certificates.py
 """
 
+import json
+
 from fibercomm.commensurability import (
     compose_witnesses,
     covers_relation,
     from_graph_map,
     replay_witness,
     witness_from_lift,
-    witness_to_json,
 )
 from fibercomm.covers import (
     build_cover,
@@ -39,7 +40,7 @@ def main():
 
     witness = covers_relation(psi, phi, k_max=3)
     print(f"\ncovering witness found: k={witness.k}")
-    print(witness_to_json(witness))
+    print(json.dumps(witness.to_json_dict(), sort_keys=True, indent=2))
     print(f"replay verifies: {replay_witness(witness, psi, phi)}")
 
     # a second story: cover the cover, then compose the witnesses

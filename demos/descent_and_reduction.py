@@ -36,7 +36,7 @@ def main():
     print(f"reduced images: {reduced.images}")
     print(f"reduced stretch min poly: {reduced.stretch_factor().min_poly}")
 
-    report = minimal_element_search(from_graph_map(lifted), k_max=4, index_max=2)
+    report = minimal_element_search(from_graph_map(lifted), index_max=2)
     print(f"\nminimal-element search on the lift:")
     for kind, info in report["reductions"]:
         print(f"  reduction: {kind} {info}")

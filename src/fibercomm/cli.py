@@ -269,7 +269,6 @@ def _cmd_minimize(args):
     phi = from_graph_map(f)
     report = minimal_element_search(
         phi,
-        k_max=args.k_max,
         index_max=args.index_max,
         nielsen_bounds=(args.period_bound, args.length_bound),
     )
@@ -323,7 +322,7 @@ def build_parser():
 
     p = sub.add_parser("minimize", help="bounded minimal-element search")
     p.add_argument("input")
-    add_options(p, "k-max", "index-max", "length-bound", "period-bound")
+    add_options(p, "index-max", "length-bound", "period-bound")
     p.set_defaults(func=_cmd_minimize)
 
     return parser

@@ -6,8 +6,6 @@ mathematical negatives, except where a rank or stretch-factor obstruction
 is exact.
 """
 
-import json
-
 from .covers import (
     CoveringMap,
     SubgroupGraph,
@@ -16,6 +14,7 @@ from .covers import (
     enumerate_subgroups,
     fold_subgroup_graph,
     full_group,
+    is_invariant,
     lift_map,
     smallest_invariant_power,
     solve_conjugacy_system,
@@ -179,9 +178,8 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
     """Independent verification of a covering witness by word computation.
 
     Phi^k is an automorphism iff Phi is (F_n is Hopfian), so only Phi's own
-    short images are folded for that check.  An automorphism keeps the
-    index, so Phi^k(b) in H for every basis word b of the complete H gives
-    Phi^k(H) = H; each membership reads one word through H's table.
+    short images are folded for that check; ``is_invariant`` then reads
+    Phi^k(H) = H off H's table.
     """
     H = witness.subgroup
     if tuple(sorted(H.symbols)) != phi.symbols or not H.is_complete():
@@ -189,7 +187,7 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
     if not check_automorphism(phi.images, phi.symbols):
         raise NotAnAutomorphism()
     phik = power_images(phi.images, witness.k)
-    if not all(H.contains(apply_images(phik, b)) for b in H.basis()):
+    if not is_invariant(phik, H):
         return False
     gamma = witness.inner_conjugator
     for s in psi.symbols:
@@ -599,9 +597,7 @@ def _try_attach(images, template: OuterAutomorphism):
 # --- minimal element search ----------------------------------------------
 
 
-def minimal_element_search(
-    phi: OuterAutomorphism, k_max=4, index_max=2, classmates=(), nielsen_bounds=(2, 6)
-):
+def minimal_element_search(phi: OuterAutomorphism, index_max=2, classmates=(), nielsen_bounds=(2, 6)):
     """Bounded reduction toward a minimal element of the covering order.
 
     Tries quotient descent along discovered covers (rank reduction), then
@@ -633,7 +629,7 @@ def minimal_element_search(
     changed = True
     while changed:
         changed = False
-        descended = _try_descend(candidate, k_max, index_max)
+        descended = _try_descend(candidate, index_max)
         if descended is not None:
             report["reductions"].append(("descent", descended[1]))
             candidate = descended[0]
@@ -653,47 +649,50 @@ def minimal_element_search(
     return report
 
 
-def _try_descend(phi: OuterAutomorphism, k_max, index_max):
-    """Match the domain against standard covers of roses and descend."""
+def _try_descend(phi: OuterAutomorphism, index_max):
+    """Descend a lift of a rose self-map back to the rose.
+
+    ``build_cover(rose(symbols), H)`` names its edge from ``v0@s`` to
+    ``v0@t`` reading x ``x@s``, t being s.x in H's canonical coset table.
+    That table is read off the domain's edges, and the one cover it gives
+    must reproduce the domain's vertices, edges and endpoints.
+    """
     rep = phi.representative
     if rep is None:
         return None
     total = rep.domain
     r = rank(total)
-    for r2 in range(2, r):
-        if (r - 1) % (r2 - 1) != 0:
-            continue
-        m = (r - 1) // (r2 - 1)
-        if m < 2 or m > index_max:
-            continue
-        base_syms = tuple(sorted({s.split("@")[0] for s in total.basis_symbols()}))
-        if len(base_syms) != r2:
-            continue
-        base_graph = rose(base_syms)
-        for H in enumerate_subgroups(r2, m, symbols=base_syms):
-            cover = build_cover(base_graph, H)
-            if sorted(cover.total.vertices) != sorted(total.vertices):
-                continue
-            if sorted(cover.total.edges) != sorted(total.edges):
-                continue
-            if any(
-                cover.total.edge_src(e) != total.edge_src(e)
-                or cover.total.edge_dst(e) != total.edge_dst(e)
-                for e in total.edges
-            ):
-                continue
-            h = _derive_base_map(rep, cover)
-            if h is None:
-                continue
-            verdict = quotient_descent(rep, h, cover, 1)
-            if verdict[0] == "quotient":
-                induced = verdict[1].induced
-                return from_graph_map(induced), {
-                    "from_rank": r,
-                    "to_rank": r2,
-                    "index": m,
-                }
-    return None
+    base_syms = tuple(sorted({s.split("@")[0] for s in total.basis_symbols()}))
+    r2 = len(base_syms)
+    if not 2 <= r2 < r or (r - 1) % (r2 - 1):
+        return None
+    m = (r - 1) // (r2 - 1)
+    if m > index_max:
+        return None
+    base_graph = rose(base_syms)
+    state = {f"{base_graph.vertices[0]}@{s}": s for s in range(m)}
+    trans = {}
+    for s in range(m):
+        for x in base_syms:
+            e = total.edges.get(f"{x}@{s}")
+            trans[(s, x)] = None if e is None else state.get(e.dst)
+    # each letter must permute the states
+    if None in trans.values() or len({(t, x) for (_, x), t in trans.items()}) < len(trans):
+        return None
+    cover = build_cover(base_graph, SubgroupGraph(base_syms, tuple(range(m)), trans, 0))
+
+    def ends(g):
+        return sorted(g.vertices), {e: (d.src, d.dst) for e, d in g.edges.items()}
+
+    if ends(cover.total) != ends(total):
+        return None
+    h = _derive_base_map(rep, cover)
+    if h is None:
+        return None
+    verdict = quotient_descent(rep, h, cover, 1)
+    if verdict[0] != "quotient":
+        return None
+    return from_graph_map(verdict[1].induced), {"from_rank": r, "to_rank": r2, "index": m}
 
 
 def _derive_base_map(g: GraphMap, cover: CoveringMap):
@@ -715,11 +714,3 @@ def _derive_base_map(g: GraphMap, cover: CoveringMap):
             return None
     h = GraphMap(cover.base, vertex_map, edge_map)
     return h if not h.validate() else None
-
-
-# --- interchange ---------------------------------------------------------
-
-
-def witness_to_json(witness: CoveringWitness):
-    return json.dumps(witness.to_json_dict(), sort_keys=True, indent=2)
-

@@ -453,26 +453,34 @@ def check_automorphism(images, symbols):
     return sg.is_complete() and sg.index() == 1
 
 
-def image_subgroup(images, H: SubgroupGraph):
-    """Folded graph of Phi(H) for an automorphism given by basis images."""
-    if not check_automorphism(images, H.symbols):
-        raise NotAnAutomorphism()
-    return _fold_image(images, H)
+def is_invariant(images, H: SubgroupGraph):
+    """Whether the automorphism Phi maps the complete H onto itself.
 
-
-def _fold_image(images, H: SubgroupGraph):
-    gens = [apply_images(images, w) for w in H.basis()]
-    return fold_subgroup_graph(gens, H.symbols)
+    An automorphism keeps the index, so Phi(H) <= H gives Phi(H) = H: it
+    is enough that Phi(b) lies in H for every basis word b of H, and each
+    membership reads one word through H's table.
+    """
+    return all(H.contains(apply_images(images, b)) for b in H.basis())
 
 
 def smallest_invariant_power(images, H: SubgroupGraph, k_max):
-    """Least k <= k_max with Phi^k(H) = H (exact equality), else None."""
-    target = H.key()
+    """Least k <= k_max with Phi^k(H) = H (exact equality), else None.
+
+    Phi^k(H) = H exactly when Phi^-k(H) = H, and Phi^-1(K) needs no fold:
+    its coset table sends state s and letter x to the state Phi(x) reaches
+    from s in K's, since w reads a loop there exactly when Phi(w) reads one
+    in K's.  H must have finite index.
+    """
+    if not check_automorphism(images, H.symbols):
+        raise NotAnAutomorphism()
+    H = H.canonical()
+    if not H.is_complete():
+        raise InfiniteIndex()
     current = H
     for k in range(1, k_max + 1):
-        # the first step checks that Phi is an automorphism; later ones only fold
-        current = (image_subgroup if k == 1 else _fold_image)(images, current)
-        if current.key() == target:
+        trans = {(s, x): current.trace(images[x], s) for s, x in H.trans}
+        current = SubgroupGraph(H.symbols, H.states, trans, 0).canonical()
+        if current.trans == H.trans:
             return k
     return None
 
@@ -787,7 +795,7 @@ def extend_restriction(psi_on_H, H: SubgroupGraph):
     if not check_automorphism(images, symbols):
         return ExtensionVerdict(False)
     # replay: the candidate must preserve H and restrict to psi
-    if image_subgroup(images, H).key() != H.canonical().key():
+    if not is_invariant(images, H):
         return ExtensionVerdict(False)
     gen_symbols = [f"x{i}" for i in range(H.rank())]
     subst = {s: w for s, w in zip(gen_symbols, H.basis())}

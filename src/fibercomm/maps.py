@@ -75,9 +75,10 @@ class GraphMap:
                 continue
             if free_reduce(img) != tuple(img):
                 problems.append(f"image of {e} is not reduced")
-            if g.path_src(img) != self.vertex_map[g.edge_src(e)]:
+            # .get: an endpoint outside the vertex list has no image
+            if g.path_src(img) != self.vertex_map.get(g.edge_src(e)):
                 problems.append(f"image of {e} starts at wrong vertex")
-            if g.path_dst(img) != self.vertex_map[g.edge_dst(e)]:
+            if g.path_dst(img) != self.vertex_map.get(g.edge_dst(e)):
                 problems.append(f"image of {e} ends at wrong vertex")
         return problems
 

@@ -57,6 +57,32 @@ def test_validate_bad_graph_exits_2(fixture_dir, tmp_path, capsys):
     assert any("valence" in p for p in report["problems"])
 
 
+def test_map_whose_tree_edge_leaves_the_vertex_list_exits_2(tmp_path, capsys):
+    # GraphMap.validate reports the edge instead of raising KeyError
+    damaged = {
+        "graph": {
+            "vertices": ["v0", "v1"],
+            "edges": [
+                {"id": "a", "from": "v0", "to": "v0", "length": "1"},
+                {"id": "t", "from": "v0", "to": "nowhere", "length": "1"},
+            ],
+            "tree": ["t"],
+        },
+        "vertex_map": {"v0": "v0", "v1": "v0"},
+        "edge_map": {"a": "a", "t": "t"},
+    }
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(damaged))
+    assert main(["analyze", str(path)]) == 2
+    assert "invalid input: edge t has unknown endpoint" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(["validate", str(path), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["kind"] == "map" and not report["valid"]
+    assert "edge t has unknown endpoint" in report["problems"]
+    assert "image of t ends at wrong vertex" in report["problems"]
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
@@ -75,6 +101,7 @@ def test_bad_bound_exits_2(fixture_dir, capsys):
         ("compare", "--length-bound"),
         ("compare", "--index-max"),
         ("minimize", "--p-max"),
+        ("minimize", "--k-max"),
     ],
 )
 def test_option_a_command_does_not_read_exits_2(fixture_dir, command, option, capsys):

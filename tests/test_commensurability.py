@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from action_oracle import image_subgroup
 from fibercomm.commensurability import (
     CoveringWitness,
     OuterAutomorphism,
@@ -21,7 +22,6 @@ from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
     full_group,
-    image_subgroup,
     lift_map,
     smallest_invariant_power,
     subgroup_from_json_dict,
@@ -354,7 +354,7 @@ def test_gcd_reduce_refuses_maps_that_are_not_expanding_train_tracks(phi):
         with pytest.raises(PreconditionFailed):
             gcd_reduce(phi, other)
     # such classmates are skipped by the minimal element search
-    report = minimal_element_search(phi, k_max=3, index_max=2, classmates=(cancels, swap))
+    report = minimal_element_search(phi, index_max=2, classmates=(cancels, swap))
     assert report["reductions"] == []
 
 
@@ -364,14 +364,14 @@ def test_minimize_propagates_a_value_error_from_log_ratio(phi, monkeypatch):
 
     monkeypatch.setattr(spectral, "log_ratio", broken)
     with pytest.raises(ValueError, match="bug in log_ratio"):
-        minimal_element_search(phi, k_max=3, index_max=2, classmates=(phi.power(2),))
+        minimal_element_search(phi, index_max=2, classmates=(phi.power(2),))
 
 
 # --- minimal element search ----------------------------------------------
 
 
 def test_minimize_descends_lift(psi, phi):
-    report = minimal_element_search(psi, k_max=4, index_max=2)
+    report = minimal_element_search(psi, index_max=2)
     kinds = [kind for kind, _ in report["reductions"]]
     assert "descent" in kinds
     candidate = report["candidate"]
@@ -381,7 +381,7 @@ def test_minimize_descends_lift(psi, phi):
 
 
 def test_minimize_fixed_point(phi):
-    report = minimal_element_search(phi, k_max=3, index_max=2)
+    report = minimal_element_search(phi, index_max=2)
     assert report["reductions"] == []
     assert report["candidate"].images == phi.images
     assert report["hypotheses"]["train_track"]
@@ -393,7 +393,7 @@ def test_minimize_reports_not_rotationless_as_index_error(phi, monkeypatch):
         raise NotRotationless("power is not rotationless")
 
     monkeypatch.setattr(whitehead, "geometric_index", not_rotationless)
-    report = minimal_element_search(phi, k_max=3, index_max=2)
+    report = minimal_element_search(phi, index_max=2)
     assert report["hypotheses"]["index_error"] == "power is not rotationless"
     assert "ageometric" not in report["hypotheses"]
 
@@ -404,5 +404,5 @@ def test_minimize_propagates_unexpected_index_errors(phi, monkeypatch):
 
     monkeypatch.setattr(whitehead, "geometric_index", broken)
     with pytest.raises(RuntimeError, match="bug in geometric_index"):
-        minimal_element_search(phi, k_max=3, index_max=2)
+        minimal_element_search(phi, index_max=2)
 

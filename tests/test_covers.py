@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subgroup_oracle
+from action_oracle import image_subgroup
 from fibercomm.covers import (
     SUBGROUP_CAP,
     build_cover,
@@ -14,7 +15,6 @@ from fibercomm.covers import (
     fold_subgroup_graph,
     full_group,
     hall_count,
-    image_subgroup,
     kernel_of_coset_action,
     lift_map,
     lift_path,

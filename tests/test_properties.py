@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from action_oracle import image_subgroup
 from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
     extend_restriction,
-    image_subgroup,
     lift_map,
     restriction_images,
     smallest_invariant_power,
