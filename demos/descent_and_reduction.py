@@ -1,11 +1,10 @@
-"""Descending a lifted map back to its base, then reducing stretch factors.
+"""Descent and minimal-element search: a lifted map descends back to its base.
 
 Run with:  python3 demos/descent_and_reduction.py
 """
 
 from fibercomm.commensurability import (
     from_graph_map,
-    gcd_reduce,
     minimal_element_search,
     quotient_descent,
 )
@@ -29,12 +28,6 @@ def main():
     print(f"quotient rank: {rank(result.quotient)}")
     print(f"induced map: {result.induced.edge_map}")
     print(f"certificates: {result.certificates}")
-
-    phi = from_graph_map(fib)
-    status, reduced, exponents = gcd_reduce(phi.power(2), phi.power(3))
-    print(f"\ngcd reduction of the square and the cube: {status}, exponents {exponents}")
-    print(f"reduced images: {reduced.images}")
-    print(f"reduced stretch min poly: {reduced.stretch_factor().min_poly}")
 
     report = minimal_element_search(from_graph_map(lifted), index_max=2)
     print(f"\nminimal-element search on the lift:")

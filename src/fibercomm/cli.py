@@ -50,7 +50,7 @@ class _InputError(Exception):
 
 def _load_map(path):
     d = _load_json(path)
-    if "graph" not in d or "edge_map" not in d:
+    if not isinstance(d, dict) or "graph" not in d or "edge_map" not in d:
         raise _InputError(f"{path}: expected a graph self-map object")
     try:
         f = map_from_json_dict(d)
@@ -143,7 +143,7 @@ def _cmd_validate(args):
     d = _load_json(args.input)
     report = {"input": os.path.basename(args.input), "problems": []}
     try:
-        if "graph" in d:
+        if isinstance(d, dict) and "graph" in d:
             f = map_from_json_dict(d)
             report["kind"] = "map"
             report["problems"] = validate_graph(f.domain) + f.validate()

@@ -1,4 +1,5 @@
-"""Covering relation, commensurability, quotient descent, and reduction.
+"""Covering relation, commensurability, quotient descent, and descent-based
+minimal-element search.
 
 Every positive verdict carries a certificate that re-verifies by direct
 word computation; bounded searches report "none within bounds" rather than
@@ -19,14 +20,7 @@ from .covers import (
     smallest_invariant_power,
     solve_conjugacy_system,
 )
-from .errors import (
-    NotAnAutomorphism,
-    NotCommensurableRatio,
-    NotRotationless,
-    PreconditionFailed,
-    ResourceBound,
-    SolverBound,
-)
+from .errors import NotAnAutomorphism, NotRotationless, ResourceBound
 from .graph import (
     MarkedGraph,
     OrientedEdge,
@@ -53,7 +47,6 @@ from .words import (
     compose_images,
     concat,
     free_reduce,
-    identity_images,
     inv,
     inverse,
     is_positive,
@@ -108,47 +101,6 @@ class OuterAutomorphism:
 
 def from_graph_map(f: GraphMap):
     return OuterAutomorphism(induced_outer_automorphism(f), f)
-
-
-def invert_images(images, length_cap=24, state_cap=200000):
-    """Inverse automorphism by breadth-first search over reduced words.
-
-    States are images Phi(w); the first word realizing each basis symbol
-    gives the inverse image.  SolverBound when the cap is hit first.
-    """
-    symbols = tuple(sorted(images))
-    targets = {(s,): None for s in symbols}
-    found = {}
-    seen = {(): ()}
-    frontier = [()]
-    letters = []
-    for s in symbols:
-        letters.append((s,))
-        letters.append((inv(s),))
-    while frontier and len(found) < len(symbols):
-        nxt = []
-        for w in frontier:
-            for step in letters:
-                w2 = concat(w, step)
-                if len(w2) < len(w) + 1:
-                    continue  # cancellation: already visited shorter form
-                img = apply_images(images, w2)
-                if len(img) > length_cap or img in seen:
-                    continue
-                seen[img] = w2
-                if img in targets and img not in found:
-                    found[img] = w2
-                if len(seen) > state_cap:
-                    raise SolverBound("inverse search exceeded the state cap")
-                nxt.append(w2)
-        frontier = nxt
-    out = {}
-    for s in symbols:
-        w = found.get((s,))
-        if w is None:
-            raise SolverBound("inverse not found within the word-length cap")
-        out[s] = w
-    return out
 
 
 # --- covering witnesses --------------------------------------------------
@@ -528,81 +480,15 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
     return ("quotient", result)
 
 
-# --- gcd reduction -------------------------------------------------------
-
-
-def gcd_reduce(phi1: OuterAutomorphism, phi2: OuterAutomorphism, denom_bound=20):
-    """Combine two commensurable-class members into one with gcd log-stretch.
-
-    Returns ("reduced", OuterAutomorphism, (m, n)) with the word-level
-    composite phi2^n ∘ phi1^m, or ("already_integral", None, None).
-    Raises PreconditionFailed unless both are expanding train tracks, and
-    NotCommensurableRatio when no ratio with denominator <= denom_bound
-    relates their stretch factors.
-    """
-    s1, s2 = phi1.stretch_factor(), phi2.stretch_factor()
-    if s1 is None or s2 is None:
-        raise PreconditionFailed("gcd_reduce needs train-track representatives for both inputs")
-    if not (s1.expanding and s2.expanding):
-        raise PreconditionFailed("gcd_reduce needs expanding stretch factors")
-    from .spectral import log_ratio
-
-    verdict = log_ratio(s1, s2, denom_bound)
-    if not verdict.rational:
-        raise NotCommensurableRatio()
-    p, q = verdict.ratio.numerator, verdict.ratio.denominator
-    # log l2 / log l1 = p/q with gcd(p,q)=1; l1 = t^q, l2 = t^p
-    if q == 1 or p == 1:
-        return ("already_integral", None, None)
-    m, n = _bezout(q, p)
-    images1 = phi1.images if m >= 0 else invert_images(phi1.images)
-    images2 = phi2.images if n >= 0 else invert_images(phi2.images)
-    result = identity_images(tuple(sorted(phi1.images)))
-    for _ in range(abs(m)):
-        result = compose_images(images1, result)
-    for _ in range(abs(n)):
-        result = compose_images(images2, result)
-    out = OuterAutomorphism(result, _try_attach(result, phi1))
-    return ("reduced", out, (m, n))
-
-
-def _bezout(q, p):
-    """(m, n) with m*q + n*p = 1, preferring m > 0."""
-    old_r, r = q, p
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    m, n = old_s, old_t
-    while m <= 0:
-        m += p
-        n -= q
-    return m, n
-
-
-def _try_attach(images, template: OuterAutomorphism):
-    """Attach a rose representative when the images are positive words."""
-    if any(not is_positive(x) for w in images.values() for x in w):
-        return None
-    if template.representative is None:
-        return None
-    g = rose(sorted(images))
-    f = GraphMap(g, {v: v for v in g.vertices}, dict(images))
-    return f if not f.validate() else None
-
-
 # --- minimal element search ----------------------------------------------
 
 
-def minimal_element_search(phi: OuterAutomorphism, index_max=2, classmates=(), nielsen_bounds=(2, 6)):
+def minimal_element_search(phi: OuterAutomorphism, index_max=2, nielsen_bounds=(2, 6)):
     """Bounded reduction toward a minimal element of the covering order.
 
-    Tries quotient descent along discovered covers (rank reduction), then
-    gcd reduction across provided same-class members (stretch reduction).
-    The result is only 'locally minimal within explored bounds'.
+    Repeats quotient descent of a lift back to its base (rank reduction)
+    while one applies.  No stretch reduction is tried, so the result is
+    only 'locally minimal within explored bounds'.
     """
     report = {"hypotheses": {}, "reductions": [], "candidate": phi}
     rep = phi.representative
@@ -626,25 +512,9 @@ def minimal_element_search(phi: OuterAutomorphism, index_max=2, classmates=(), n
             report["hypotheses"]["index_error"] = str(exc)
 
     candidate = phi
-    changed = True
-    while changed:
-        changed = False
-        descended = _try_descend(candidate, index_max)
-        if descended is not None:
-            report["reductions"].append(("descent", descended[1]))
-            candidate = descended[0]
-            changed = True
-            continue
-        for other in classmates:
-            try:
-                verdict = gcd_reduce(candidate, other)
-            except (NotCommensurableRatio, PreconditionFailed):
-                continue
-            if verdict[0] == "reduced":
-                report["reductions"].append(("gcd", verdict[2]))
-                candidate = verdict[1]
-                changed = True
-                break
+    while (descended := _try_descend(candidate, index_max)) is not None:
+        candidate, info = descended
+        report["reductions"].append(("descent", info))
     report["candidate"] = candidate
     return report
 

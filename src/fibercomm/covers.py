@@ -287,10 +287,6 @@ def full_group(symbols):
     return SubgroupGraph(symbols, (0,), {(0, s): 0 for s in symbols}, 0)
 
 
-def subgroups_equal(h1: SubgroupGraph, h2: SubgroupGraph):
-    return h1.key() == h2.key()
-
-
 # --- enumeration --------------------------------------------------------
 
 
@@ -559,61 +555,6 @@ def _try_lift(cover, fk, image_v0):
 
     candidate = GraphMap(total, vertex_map, edge_map)
     return candidate if not candidate.validate() else None
-
-
-# --- intersections ------------------------------------------------------
-
-
-def subgroup_intersection(h1: SubgroupGraph, h2: SubgroupGraph):
-    """Folded core of the fiber product (basepoint pair)."""
-    if h1.symbols != h2.symbols:
-        raise ValueError("subgroups live over different bases")
-    inn1, inn2 = h1._in_map, h2._in_map
-    start = (h1.basepoint, h2.basepoint)
-    seen = {start}
-    queue = [start]
-    trans = {}
-    while queue:
-        s1, s2 = queue.pop(0)
-        for sym in h1.symbols:
-            t1, t2 = h1.trans.get((s1, sym)), h2.trans.get((s2, sym))
-            if t1 is not None and t2 is not None:
-                trans[((s1, s2), sym)] = (t1, t2)
-                if (t1, t2) not in seen:
-                    seen.add((t1, t2))
-                    queue.append((t1, t2))
-            u1, u2 = inn1.get((s1, sym)), inn2.get((s2, sym))
-            if u1 is not None and u2 is not None and (u1, u2) not in seen:
-                seen.add((u1, u2))
-                queue.append((u1, u2))
-    sg = SubgroupGraph(h1.symbols, tuple(sorted(seen)), trans, start)
-    return _trim_core(sg).canonical()
-
-
-def _trim_core(sg: SubgroupGraph):
-    """Drop, one after another, the states other than the basepoint that
-    lie on at most one transition (a loop counts twice)."""
-    incident = {s: [] for s in sg.states}
-    for key, t in sg.trans.items():
-        incident[key[0]].append(key)
-        incident[t].append(key)
-    degree = {s: len(keys) for s, keys in incident.items()}
-    stack = [s for s, d in degree.items() if d <= 1 and s != sg.basepoint]
-    removed = set(stack)
-    trans = dict(sg.trans)
-    while stack:
-        s = stack.pop()
-        for key in incident[s]:
-            t = trans.pop(key, None)
-            if t is None:
-                continue
-            other = t if key[0] == s else key[0]
-            degree[other] -= 1
-            if degree[other] <= 1 and other != sg.basepoint and other not in removed:
-                removed.add(other)
-                stack.append(other)
-    states = tuple(s for s in sg.states if s not in removed)
-    return SubgroupGraph(sg.symbols, states, trans, sg.basepoint)
 
 
 # --- unique extension (finite-index rigidity) ---------------------------

@@ -52,6 +52,3 @@ class NotRotationless(FibercommError):
 class ZeroMatrix(FibercommError):
     pass
 
-
-class NotCommensurableRatio(FibercommError):
-    pass

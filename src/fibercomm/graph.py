@@ -6,7 +6,6 @@ exact rationals.  A marking is a spanning tree plus labels on the non-tree
 edge orbits identifying the fundamental group with a free basis.
 """
 
-import json
 from functools import cached_property
 from fractions import Fraction
 
@@ -201,12 +200,6 @@ def bfs_marked_graph(vertices, edges):
     return MarkedGraph(g.vertices, edges, frozenset(tree))
 
 
-def tighten(g: MarkedGraph, path):
-    """Reduce an edge path by cancelling backtracks; homotopic rel endpoints."""
-    g.check_path(path)
-    return free_reduce(tuple(path))
-
-
 def loop_to_word(g: MarkedGraph, path, basepoint):
     """Word of a based loop in the marking basis (tree edges contribute nothing)."""
     if path:
@@ -303,24 +296,35 @@ def graph_to_json_dict(g: MarkedGraph):
     }
 
 
+def check_json(value, kind, message):
+    """``value`` when it has the JSON type ``kind``; ValueError(message) otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(message)
+    return value
+
+
+def _names(values, message):
+    """A JSON list of strings as a tuple; ValueError(message) otherwise."""
+    return tuple(check_json(x, str, message) for x in check_json(values, list, message))
+
+
 def graph_from_json_dict(d):
-    edges = {
-        ed["id"]: OrientedEdge(
-            ed["id"], ed["from"], ed["to"], Fraction(ed.get("length", "1"))
-        )
-        for ed in d["edges"]
-    }
+    """The graph of a ``graph_to_json_dict`` object.  A missing key raises
+    KeyError, a value of the wrong JSON type ValueError."""
+    check_json(d, dict, "a graph must be a JSON object")
+    edges = {}
+    for ed in check_json(d["edges"], list, "graph edges must be a list"):
+        check_json(ed, dict, "each graph edge must be a JSON object")
+        e, src, dst = _names([ed["id"], ed["from"], ed["to"]], "edge ids and ends must be strings")
+        length = ed.get("length", "1")
+        check_json(length, (str, int, float), f"length of edge {e} must be a string or a number")
+        edges[e] = OrientedEdge(e, src, dst, Fraction(length))
+    message = "graph basis must map edges to symbols"
+    basis = check_json(d.get("basis", {}), dict, message)
+    _names(list(basis.values()), message)
     return MarkedGraph(
-        tuple(d["vertices"]),
+        _names(d["vertices"], "graph vertices must be a list of strings"),
         edges,
-        frozenset(d.get("tree", [])),
-        dict(d.get("basis", {})),
+        frozenset(_names(d.get("tree", []), "graph tree must be a list of edge ids")),
+        dict(basis),
     )
-
-
-def graph_to_json(g: MarkedGraph):
-    return json.dumps(graph_to_json_dict(g), sort_keys=True, indent=2)
-
-
-def graph_from_json(text):
-    return graph_from_json_dict(json.loads(text))

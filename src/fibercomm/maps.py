@@ -707,9 +707,14 @@ def map_to_json_dict(f: GraphMap):
 
 
 def map_from_json_dict(d):
-    from .graph import graph_from_json_dict
+    """The map of a ``map_to_json_dict`` object.  A missing key raises
+    KeyError, a value of the wrong JSON type ValueError."""
+    from .graph import check_json, graph_from_json_dict
     from .words import parse_word
 
+    check_json(d, dict, "a map must be a JSON object")
     g = graph_from_json_dict(d["graph"])
-    edge_map = {e: parse_word(w) for e, w in d["edge_map"].items()}
-    return GraphMap(g, dict(d["vertex_map"]), edge_map)
+    edge_map = check_json(d["edge_map"], dict, "edge_map must map edges to words")
+    edge_map = {e: parse_word(w) for e, w in edge_map.items()}
+    vertex_map = check_json(d["vertex_map"], dict, "vertex_map must map vertices to vertices")
+    return GraphMap(g, dict(vertex_map), edge_map)

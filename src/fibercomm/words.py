@@ -96,34 +96,11 @@ def cyclic_reduce(word):
     return w[i : len(w) - i], w[:i]
 
 
-def is_reduced(word):
-    return all(word[i + 1] != inv(word[i]) for i in range(len(word) - 1))
-
-
-def is_cyclically_reduced(word):
-    if not is_reduced(word):
-        return False
-    return not (len(word) >= 2 and word[0] == inv(word[-1]))
-
-
-def conjugate_classes_equal(w1, w2):
-    """Whether two words define the same conjugacy class.
-
-    Their cyclic cores must be rotations of each other, which the one-pass
-    rotation search of ``covers.solve_conjugacy`` decides in linear time;
-    a class and its inverse are *not* identified.
-    """
-    c1, _ = cyclic_reduce(free_reduce(w1))
-    c2, _ = cyclic_reduce(free_reduce(w2))
-    if not c1 or not c2:
-        return c1 == c2
-    from .covers import solve_conjugacy
-
-    return solve_conjugacy(c1, c2) is not None
-
-
 def parse_word(text):
-    """Parse a space separated word string like ``"a b ~a"``."""
+    """Parse a space separated word string like ``"a b ~a"``; ValueError
+    when ``text`` is not a string."""
+    if not isinstance(text, str):
+        raise ValueError(f"{text!r} is not a word: expected a string of space-separated letters")
     text = text.strip()
     if not text:
         return ()

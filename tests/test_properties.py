@@ -11,7 +11,6 @@ from fibercomm.covers import (
     lift_map,
     restriction_images,
     smallest_invariant_power,
-    subgroups_equal,
 )
 from fibercomm.graph import rank
 from fibercomm.maps import induced_outer_automorphism
@@ -76,10 +75,10 @@ def test_image_subgroup_respects_invariance(ms, which):
     k = smallest_invariant_power(images, H, 4)
     if k is None:
         return
-    assert subgroups_equal(image_subgroup(power_images(images, k), H), H)
+    assert image_subgroup(power_images(images, k), H).key() == H.key()
     # smaller powers genuinely move the subgroup
     for j in range(1, k):
-        assert not subgroups_equal(image_subgroup(power_images(images, j), H), H)
+        assert image_subgroup(power_images(images, j), H).key() != H.key()
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
@@ -96,18 +95,3 @@ def test_lift_exists_iff_invariant_power_divides(fib, which):
             assert rank(lifted.domain) == 3
         else:
             assert lifted is None
-
-
-@given(moves)
-@settings(max_examples=40, deadline=None)
-def test_inverse_search_round_trip(ms):
-    from fibercomm.commensurability import invert_images
-    from fibercomm.errors import SolverBound
-
-    images = compose_moves(ms)
-    try:
-        inv_images = invert_images(images, length_cap=16, state_cap=50000)
-    except SolverBound:
-        return  # bounded search is allowed to give up on long images
-    assert compose_images(images, inv_images) == identity_images(("a", "b"))
-    assert compose_images(inv_images, images) == identity_images(("a", "b"))

@@ -6,19 +6,22 @@ from fibercomm.words import (
     base,
     compose_images,
     concat,
-    conjugate_classes_equal,
     cyclic_reduce,
     format_word,
     free_reduce,
     identity_images,
     inv,
     inverse,
-    is_cyclically_reduced,
-    is_reduced,
     parse_word,
     power_images,
 )
-from kernel_oracle import cyclic_rotations, enumerate_reduced_words
+from conjugates import conjugate_classes_equal
+from kernel_oracle import (
+    cyclic_rotations,
+    enumerate_reduced_words,
+    is_cyclically_reduced,
+    is_reduced,
+)
 
 SYMBOLS = ("a", "b")
 letters = st.sampled_from(["a", "b", "~a", "~b"])
