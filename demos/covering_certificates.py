@@ -15,8 +15,8 @@ from fibercomm.commensurability import (
 from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
+    invariant_powers,
     lift_map,
-    smallest_invariant_power,
 )
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap
@@ -31,7 +31,8 @@ def main():
     print(f"index-2 subgroups of F2: {len(subs)}")
     H = next(h for h in subs if h.contains(("a",)) and not h.contains(("b",)))
     print(f"chosen H basis: {H.canonical().basis()}")
-    print(f"smallest invariant power: {smallest_invariant_power(phi.images, H, 4)}")
+    k = invariant_powers(phi.images, subs, 4)[subs.index(H)]
+    print(f"smallest invariant power: {k}")
 
     cover = build_cover(g2, H)
     lifted = lift_map(fib, cover, 3)
@@ -45,7 +46,7 @@ def main():
 
     # a second story: cover the cover, then compose the witnesses
     subs2 = enumerate_subgroups(3, 2, symbols=psi.symbols)
-    H2 = next(h for h in subs2 if smallest_invariant_power(psi.images, h, 3) == 1)
+    H2 = next(h for h, k in zip(subs2, invariant_powers(psi.images, subs2, 3)) if k == 1)
     cover2 = build_cover(lifted.domain, H2)
     lifted2 = lift_map(lifted, cover2, 3)
     psi2 = from_graph_map(lifted2)

@@ -3,12 +3,9 @@
 Run with:  python3 demos/descent_and_reduction.py
 """
 
-from fibercomm.commensurability import (
-    from_graph_map,
-    minimal_element_search,
-    quotient_descent,
-)
+from fibercomm.commensurability import from_graph_map, minimal_element_search
 from fibercomm.covers import build_cover, enumerate_subgroups, lift_map
+from fibercomm.descent import quotient_descent
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap, map_power
 

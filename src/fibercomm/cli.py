@@ -20,6 +20,7 @@ from .errors import (
 )
 from .graph import graph_from_json_dict, rank, validate_graph
 from .maps import (
+    induced_outer_automorphism,
     is_atoroidal,
     is_train_track,
     map_from_json_dict,
@@ -122,10 +123,10 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _stretch_dict(f):
+def _stretch_dict(f, roots=None):
     from .spectral import pf_data
 
-    sf, irreducible = pf_data(transition_matrix(f))
+    sf, irreducible = pf_data(transition_matrix(f), roots)
     lo, hi = sf.enclosure
     return {
         "char_poly": list(sf.char_poly),
@@ -205,38 +206,37 @@ def _cmd_analyze(args):
 
 
 def _cmd_cover(args):
-    from .commensurability import from_graph_map
     from .covers import (
         build_cover,
         check_subgroup_cap,
         enumerate_subgroups,
+        invariant_powers,
         lift_map,
-        smallest_invariant_power,
         subgroup_to_json_dict,
     )
 
     f = _load_map(args.input)
-    phi = from_graph_map(f)
-    r = phi.rank
+    images = induced_outer_automorphism(f)
+    r = len(images)
     # the count grows with the index, so the largest index decides the cap
     check_subgroup_cap(r, args.index_max)
+    roots = {}  # char poly -> PF root, for this job's lifts
     entries = []
     for m in range(2, args.index_max + 1):
-        for H in enumerate_subgroups(r, m, symbols=phi.symbols):
-            cover = build_cover(f.domain, H)
-            k = smallest_invariant_power(phi.images, H, args.k_max)
+        subgroups = enumerate_subgroups(r, m, symbols=sorted(images))
+        for H, k in zip(subgroups, invariant_powers(images, subgroups, args.k_max)):
             entry = {
                 "index": m,
                 "subgroup": subgroup_to_json_dict(H),
-                "cover_rank": rank(cover.total),
+                "cover_rank": m * (r - 1) + 1,  # Schreier's index formula
                 "invariant_power": k,
                 "lift_exists": False,
             }
             if k is not None:
-                lifted = lift_map(f, cover, k)
+                lifted = lift_map(f, build_cover(f.domain, H), k)
                 if lifted is not None:
                     entry["lift_exists"] = True
-                    entry["lift_stretch"] = _stretch_dict(lifted)
+                    entry["lift_stretch"] = _stretch_dict(lifted, roots)
             entries.append(entry)
     _emit(_dump({"input": os.path.basename(args.input), "covers": entries}), args.out)
     return EXIT_OK

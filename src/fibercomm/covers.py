@@ -1,4 +1,4 @@
-"""Stallings subgroup graphs, finite covers, lifts, and extensions.
+"""Stallings subgroup graphs, finite covers, lifts, and conjugacy equations.
 
 Subgroups of a free group are represented by based, folded core graphs
 whose transitions are labeled by basis symbols.  Subgroups are tracked up
@@ -11,13 +11,13 @@ from .errors import (
     InfiniteIndex,
     NotAnAutomorphism,
     ResourceBound,
-    SolverBound,
 )
 from .graph import MarkedGraph, OrientedEdge, bfs_marked_graph, loop_to_word
 from .record import record
 from .unionfind import UnionFind
 from .words import (
-    apply_images,
+    _OrientedImages,
+    _substitute,
     base,
     concat,
     cyclic_reduce,
@@ -383,11 +383,12 @@ class CoveringMap:
 
     @cached_property
     def _lifts_from(self):
-        """(base oriented edge, total vertex) -> the lifted oriented edge there."""
+        """(base oriented edge, total vertex) -> (the lifted oriented edge
+        there, its far end)."""
         table = {}
         for eid, data in self.total.edges.items():
-            table.setdefault((self.edge_projection[eid], data.src), eid)
-            table.setdefault((inv(self.edge_projection[eid]), data.dst), inv(eid))
+            table.setdefault((self.edge_projection[eid], data.src), (eid, data.dst))
+            table.setdefault((inv(self.edge_projection[eid]), data.dst), (inv(eid), data.src))
         return table
 
     def project_path(self, path):
@@ -456,29 +457,42 @@ def is_invariant(images, H: SubgroupGraph):
     is enough that Phi(b) lies in H for every basis word b of H, and each
     membership reads one word through H's table.
     """
-    return all(H.contains(apply_images(images, b)) for b in H.basis())
+    oriented = _OrientedImages(images)
+    return all(H.contains(_substitute(oriented, b)) for b in H.basis())
 
 
-def smallest_invariant_power(images, H: SubgroupGraph, k_max):
-    """Least k <= k_max with Phi^k(H) = H (exact equality), else None.
+def invariant_powers(images, subgroups, k_max):
+    """For each H of ``subgroups``, the least k <= k_max with Phi^k(H) = H
+    (exact equality), else None.
 
     Phi^k(H) = H exactly when Phi^-k(H) = H, and Phi^-1(K) needs no fold:
     its coset table sends state s and letter x to the state Phi(x) reaches
     from s in K's, since w reads a loop there exactly when Phi(w) reads one
-    in K's.  H must have finite index.
+    in K's.  Phi^-1 keeps the index, so it permutes the subgroups of one
+    finite index.  One table step per listed subgroup, matched by ``key()``,
+    gives that permutation, and each k is read off its cycle.  The list must
+    be closed under Phi^-1 (all subgroups of one index, or ``[full_group]``);
+    a step that leaves it raises ValueError.
     """
-    if not check_automorphism(images, H.symbols):
+    if not check_automorphism(images, tuple(sorted(images))):
         raise NotAnAutomorphism()
-    H = H.canonical()
-    if not H.is_complete():
-        raise InfiniteIndex()
-    current = H
-    for k in range(1, k_max + 1):
-        trans = {(s, x): current.trace(images[x], s) for s, x in H.trans}
-        current = SubgroupGraph(H.symbols, H.states, trans, 0).canonical()
-        if current.trans == H.trans:
-            return k
-    return None
+    position = {H.key(): i for i, H in enumerate(subgroups)}
+    step = []
+    for H in subgroups:
+        if not H.is_complete():
+            raise InfiniteIndex()
+        trans = {(s, x): H.trace(images[x], s) for s, x in H.trans}
+        j = position.get(SubgroupGraph(H.symbols, H.states, trans, H.basepoint).key())
+        if j is None:
+            raise ValueError("Phi^-1 maps a listed subgroup outside the list")
+        step.append(j)
+    powers = []
+    for i, j in enumerate(step):
+        k = 1
+        while j != i and k < k_max:
+            j, k = step[j], k + 1
+        powers.append(k if j == i and k <= k_max else None)
+    return powers
 
 
 # --- map lifting --------------------------------------------------------
@@ -490,20 +504,23 @@ def lift_path(cover: CoveringMap, base_path, start_vertex):
     out = []
     v = start_vertex
     for e in base_path:
-        lift = lifts_from.get((e, v))
-        if lift is None:
+        step = lifts_from.get((e, v))
+        if step is None:
             raise RuntimeError("covering is not locally bijective")
+        lift, v = step
         out.append(lift)
-        v = cover.total.edge_dst(lift)
     return tuple(out), v
 
 
 def lift_map(f, cover: CoveringMap, k):
-    """All lifts of f^k to the total graph; None when no lift exists.
+    """The lexicographically least lift of f^k to the total graph (by its
+    edge map), or None when no lift exists.
 
-    Returns the lexicographically least lift (by its edge map) or None.
+    The candidates, one per point of the basepoint's fiber that the
+    endpoints allow, are sorted first and validated in that order, so only
+    the candidates up to the first valid one are validated.
     """
-    from .maps import GraphMap, map_power
+    from .maps import map_power
 
     fk = map_power(f, k)
     lifts = []
@@ -511,10 +528,8 @@ def lift_map(f, cover: CoveringMap, k):
         lifted = _try_lift(cover, fk, s0)
         if lifted is not None:
             lifts.append(lifted)
-    if not lifts:
-        return None
     lifts.sort(key=lambda m: sorted(m.edge_map.items()))
-    return lifts[0]
+    return next((m for m in lifts if not m.validate()), None)
 
 
 def _basepoint_fiber_choices(cover, fk):
@@ -536,14 +551,11 @@ def _try_lift(cover, fk, image_v0):
             if base(e) in seen_edges:
                 continue
             seen_edges.add(base(e))
-            base_image = fk.edge_image(cover.edge_projection[base(e)])
-            if not is_positive(e):
-                base_image = tuple(inv(x) for x in reversed(base_image))
+            b = cover.edge_projection[base(e)]
+            # fk caches the image of each oriented edge, reversed ones too
+            base_image = fk.edge_image(b if is_positive(e) else inv(b))
             lifted, endpoint = lift_path(cover, base_image, vertex_map[v])
-            if is_positive(e):
-                edge_map[base(e)] = lifted
-            else:
-                edge_map[base(e)] = tuple(inv(x) for x in reversed(lifted))
+            edge_map[base(e)] = lifted if is_positive(e) else inverse(lifted)
             w = total.edge_dst(e)
             if w in vertex_map:
                 if vertex_map[w] != endpoint:
@@ -553,39 +565,10 @@ def _try_lift(cover, fk, image_v0):
                 queue.append(w)
     from .maps import GraphMap
 
-    candidate = GraphMap(total, vertex_map, edge_map)
-    return candidate if not candidate.validate() else None
+    return GraphMap(total, vertex_map, edge_map)
 
 
-# --- unique extension (finite-index rigidity) ---------------------------
-
-
-def kernel_of_coset_action(H: SubgroupGraph):
-    """Kernel of the action on cosets of H: a normal finite-index subgroup of
-    the ambient group contained in H."""
-    if not H.is_complete():
-        raise InfiniteIndex()
-    H = H.canonical()
-    perms = {}
-    for sym in H.symbols:
-        perms[sym] = tuple(H.trans[(s, sym)] for s in H.states)
-    # group generated by the permutations
-    identity = tuple(range(len(H.states)))
-    elements = {identity: 0}
-    queue = [identity]
-    while queue:
-        g = queue.pop(0)
-        for sym in H.symbols:
-            h = tuple(perms[sym][g[i]] for i in range(len(g)))
-            if h not in elements:
-                elements[h] = len(elements)
-                queue.append(h)
-    trans = {}
-    for g, i in elements.items():
-        for sym in H.symbols:
-            h = tuple(perms[sym][g[j]] for j in range(len(g)))
-            trans[(i, sym)] = elements[h]
-    return SubgroupGraph(H.symbols, tuple(range(len(elements))), trans, 0).canonical()
+# --- conjugacy equations -----------------------------------------------
 
 
 def solve_conjugacy(z, w):
@@ -681,70 +664,6 @@ def _axis_shift(r, z, t):
     gap = len(concat(rm, t, inverse(rm))) - len(concat(rm, z, inverse(rm)))
     j, rest = divmod(gap, 2 * n)
     return None if rest else j
-
-
-@record
-class ExtensionVerdict:
-    found: bool
-    images: dict = None
-
-
-def restriction_images(images, H: SubgroupGraph, gen_symbols=None):
-    """Restriction of an H-invariant automorphism to H, over H's basis."""
-    if gen_symbols is None:
-        gen_symbols = [f"x{i}" for i in range(H.rank())]
-    out = {}
-    for sym, w in zip(gen_symbols, H.basis()):
-        out[sym] = H.express_in_basis(apply_images(images, w), gen_symbols)
-    return out
-
-
-def _ambient_restriction(psi_on_H, H: SubgroupGraph):
-    """psi given over H's basis, as a map on ambient member words."""
-    gen_symbols = [f"x{i}" for i in range(H.rank())]
-    basis = H.basis()
-    subst = {s: w for s, w in zip(gen_symbols, basis)}
-    images = {s: psi_on_H[s] for s in gen_symbols}
-
-    def act(word):
-        in_basis = H.express_in_basis(word, gen_symbols)
-        return apply_images(subst, apply_images(images, in_basis))
-
-    return act
-
-
-def extend_restriction(psi_on_H, H: SubgroupGraph):
-    """The unique ambient automorphism restricting to psi on H, if any.
-
-    Each ambient basis letter a is pinned by the equations
-    ``Phi(a) psi(x) Phi(a)^-1 = psi(a x a^-1)`` over a basis of the coset
-    kernel N, solved exactly by ``solve_conjugacy_system``.
-    """
-    symbols = H.symbols
-    act = _ambient_restriction(psi_on_H, H)
-    n_basis = kernel_of_coset_action(H).basis()
-    if len(n_basis) < 2:
-        raise SolverBound("kernel subgroup has rank < 2; equations underdetermined")
-    images = {}
-    for a in symbols:
-        u = solve_conjugacy_system(
-            [(act(x), act(concat((a,), x, (inv(a),)))) for x in n_basis]
-        )
-        if u is None:
-            return ExtensionVerdict(False)
-        images[a] = u
-    if not check_automorphism(images, symbols):
-        return ExtensionVerdict(False)
-    # replay: the candidate must preserve H and restrict to psi
-    if not is_invariant(images, H):
-        return ExtensionVerdict(False)
-    gen_symbols = [f"x{i}" for i in range(H.rank())]
-    subst = {s: w for s, w in zip(gen_symbols, H.basis())}
-    for s in gen_symbols:
-        expected = apply_images(subst, psi_on_H[s])
-        if apply_images(images, subst[s]) != expected:
-            return ExtensionVerdict(False)
-    return ExtensionVerdict(True, images)
 
 
 # --- interchange --------------------------------------------------------

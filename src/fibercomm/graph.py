@@ -48,14 +48,29 @@ class MarkedGraph:
     def has_edge(self, e):
         return base(e) in self.edges
 
+    @cached_property
+    def _ends(self):
+        """Oriented edge -> (edge_src, edge_dst), for each letter whose
+        ``base`` is an edge id.  ``edge_dst(d)`` is ``edge_src(inv(d))``,
+        None here when that letter is unknown."""
+        src = {}
+        for e, data in self.edges.items():
+            if is_positive(e):
+                src[e] = data.src
+            src["~" + e] = data.dst
+        return {d: (v, src.get(inv(d))) for d, v in src.items()}
+
     def edge_src(self, e):
-        data = self.edges.get(base(e))
-        if data is None:
+        ends = self._ends.get(e)
+        if ends is None:
             raise UnknownEdge(e)
-        return data.src if is_positive(e) else data.dst
+        return ends[0]
 
     def edge_dst(self, e):
-        return self.edge_src(inv(e))
+        ends = self._ends.get(e)
+        if ends is None or ends[1] is None:
+            return self.edge_src(inv(e))
+        return ends[1]
 
     def edge_length(self, e):
         data = self.edges.get(base(e))

@@ -581,17 +581,23 @@ def _pf_root(cp):
         width /= 2
 
 
-def pf_data(mat):
+def pf_data(mat, roots=None):
     """Stretch factor data: char poly, PF root enclosure, minimal factor.
 
     ``mat`` is any nested sequence of integers.  Returns
-    ``(StretchFactor, irreducible_flag)``.
+    ``(StretchFactor, irreducible_flag)``.  ``roots``, when given, is a
+    dict from characteristic polynomial to (minimal polynomial, enclosure)
+    that the caller keeps for one job: a polynomial found there is not
+    factored again, and a new one is added.
     """
     rows = _int_rows(mat)
     if not any(any(row) for row in rows):
         raise ZeroMatrix()
     cp = char_poly_coeffs(rows)
-    min_poly, (lo, hi) = _pf_root(cp)
+    roots = {} if roots is None else roots
+    if cp not in roots:
+        roots[cp] = _pf_root(cp)
+    min_poly, (lo, hi) = roots[cp]
     sf = StretchFactor(cp, tuple(min_poly), (lo, hi), expanding=lo > 1)
     from .maps import is_irreducible_matrix  # local: avoid import cycle
 

@@ -111,13 +111,21 @@ def format_word(word):
     return " ".join(word)
 
 
+def _substitute(oriented, word):
+    """``word`` with each letter replaced by its image in the
+    ``_OrientedImages`` table ``oriented``, freely reduced.  A caller that
+    substitutes many words through one automorphism keeps one table, so
+    each inverse image is built once."""
+    return _tighten(map(oriented.__getitem__, word), _Inverses())
+
+
 def apply_images(images, word):
     """Substitute basis letters by their image words and freely reduce.
 
     ``images`` maps basis symbols to words; inverse letters use the inverse
     image.
     """
-    return _tighten(map(_OrientedImages(images).__getitem__, word), _Inverses())
+    return _substitute(_OrientedImages(images), word)
 
 
 def compose_images(outer, inner):

@@ -9,12 +9,7 @@ reproduces the lift's names.  The only edits: the imports come from the
 package, and ``_try_descend`` keeps its ``k_max``, which it never read.
 """
 
-from fibercomm.commensurability import (
-    OuterAutomorphism,
-    _derive_base_map,
-    from_graph_map,
-    quotient_descent,
-)
+from fibercomm.commensurability import OuterAutomorphism, from_graph_map
 from fibercomm.covers import (
     SubgroupGraph,
     build_cover,
@@ -22,6 +17,7 @@ from fibercomm.covers import (
     enumerate_subgroups,
     fold_subgroup_graph,
 )
+from fibercomm.descent import _derive_base_map, quotient_descent
 from fibercomm.errors import NotAnAutomorphism
 from fibercomm.graph import rank, rose
 from fibercomm.words import apply_images

@@ -1,6 +1,6 @@
 """Reference copy of the closure-based quotient descent.
 
-This is how ``fibercomm.commensurability.quotient_descent`` built its
+This is how ``quotient_descent`` (now in ``fibercomm.descent``) built its
 quotient before it read the classes off the fibers of the covering, kept
 unchanged as a test oracle.  It closes the fiber equivalence under the map
 on vertices and on directions, checks the classes for consistency, and only
@@ -11,8 +11,8 @@ private spanning-tree helper it called.  Everything it calls comes from the
 package.
 """
 
-from fibercomm.commensurability import QuotientResult
 from fibercomm.covers import CoveringMap, fold_subgroup_graph
+from fibercomm.descent import QuotientResult
 from fibercomm.errors import FibercommError, NotRotationless
 from fibercomm.graph import OrientedEdge, bfs_marked_graph, loop_to_word, rank, word_to_loop
 from fibercomm.maps import GraphMap, apply_map, map_power

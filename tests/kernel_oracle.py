@@ -19,6 +19,11 @@ per turn), the depth-first ``tree_path``, ``is_connected`` and
 ``validate_graph`` with their private adjacencies, the covering's
 ``_bfs_tree``, and the breadth-first ``SubgroupGraph.canonical``.  Methods
 became module functions taking the graph; nothing else changed.
+
+The third part keeps the endpoint lookups that one cached table of
+(src, dst) per graph replaced: ``edge_src`` reads the record of base(e),
+and ``edge_dst`` inverts e and calls it.  They became module functions
+taking the graph.
 """
 
 from itertools import product
@@ -425,3 +430,14 @@ def canonical(sg):
         (order[s], x): order[t] for (s, x), t in sg.trans.items() if s in order
     }
     return SubgroupGraph(sg.symbols, tuple(range(len(order))), trans, 0)
+
+
+def edge_src(g, e):
+    data = g.edges.get(base(e))
+    if data is None:
+        raise UnknownEdge(e)
+    return data.src if is_positive(e) else data.dst
+
+
+def edge_dst(g, e):
+    return edge_src(g, inv(e))

@@ -8,8 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
+from extension_oracle import extend_restriction, restriction_images
 from fibercomm.commensurability import (
     compose_witnesses,
     covers_relation,
@@ -21,11 +20,9 @@ from fibercomm.covers import (
     build_cover,
     check_automorphism,
     enumerate_subgroups,
-    extend_restriction,
+    invariant_powers,
     lift_map,
     lift_path,
-    restriction_images,
-    smallest_invariant_power,
 )
 from fibercomm.folds import stallings_fold
 from fibercomm.graph import loop_to_word, rank, rose, word_to_loop
@@ -83,8 +80,8 @@ def test_criterion_03_cover_suite(fib):
     s_base, _ = pf_data(transition_matrix(fib))
     subs = enumerate_subgroups(2, 2)
     assert len(subs) == 3
+    assert invariant_powers(images, subs, 4) == [3, 3, 3]
     for H in subs:
-        assert smallest_invariant_power(images, H, 4) == 3
         cover = build_cover(fib.domain, H)
         lifted = lift_map(fib, cover, 3)
         assert lifted is not None
@@ -112,7 +109,7 @@ def test_criterion_05_transitivity(fib, fib3_lift):
     psi = from_graph_map(fib3_lift)
     phi = from_graph_map(fib)
     subs2 = enumerate_subgroups(3, 2, symbols=psi.symbols)
-    H2 = next(h for h in subs2 if smallest_invariant_power(psi.images, h, 3) == 1)
+    H2 = next(h for h, k in zip(subs2, invariant_powers(psi.images, subs2, 3)) if k == 1)
     cover2 = build_cover(fib3_lift.domain, H2)
     lifted2 = lift_map(fib3_lift, cover2, 3)
     assert lifted2 is not None
@@ -270,7 +267,7 @@ def test_criterion_10_whitehead(fib):
 
 
 def test_criterion_11_quotient_descent(fib, fib3_lift, double_cover):
-    from fibercomm.commensurability import quotient_descent
+    from fibercomm.descent import quotient_descent
 
     start = time.monotonic()
     h3 = map_power(fib, 3)
@@ -301,7 +298,8 @@ def test_criterion_13_extension_uniqueness():
         if not check_automorphism(images, ("a", "b")):
             continue
         H = rng.choice(subgroups)
-        k = smallest_invariant_power(images, H, 6)
+        listed = enumerate_subgroups(2, H.index())
+        k = invariant_powers(images, listed, 6)[listed.index(H)]
         if k is None:
             continue
         powered = power_images(images, k)

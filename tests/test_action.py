@@ -1,6 +1,7 @@
-"""Differential tests: the invariant power read through coset tables and the
-descent that reads its lift's own table, against the folding and
-enumerating implementations they replaced (``action_oracle``)."""
+"""Differential tests: the invariant powers read off the permutation that
+Phi^-1 makes of the subgroups, and the descent that reads its lift's own
+table, against the folding and enumerating implementations they replaced
+(``action_oracle``)."""
 
 from functools import lru_cache
 
@@ -8,17 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import action_oracle as old
-from fibercomm import commensurability
-from fibercomm.commensurability import _try_descend, from_graph_map
+from fibercomm import covers
+from fibercomm.commensurability import from_graph_map
 from fibercomm.covers import (
     SubgroupGraph,
     build_cover,
     enumerate_subgroups,
     full_group,
+    invariant_powers,
     lift_map,
-    smallest_invariant_power,
 )
-from fibercomm.graph import MarkedGraph, OrientedEdge, bfs_marked_graph
+from fibercomm.descent import _try_descend
+from fibercomm.graph import MarkedGraph, OrientedEdge, bfs_marked_graph, rank
 from fibercomm.maps import GraphMap, induced_outer_automorphism
 from fibercomm.words import base, compose_images, identity_images, inv, is_positive
 from test_kernels import irreducible_positive_maps
@@ -44,24 +46,33 @@ def subgroups(symbols, m):
 
 @pytest.fixture(scope="module")
 def named_maps(fib, plast):
-    return {"FIB": fib, "PLAST": plast, "A3": irreducible_positive_maps(1)[0]}
+    b = GraphMap(fib.domain, {"v0": "v0"}, {"a": ("b", "a"), "b": ("a", "b", "a")})
+    return {"FIB": fib, "B": b, "PLAST": plast, "A3": irreducible_positive_maps(1)[0]}
 
 
 # --- invariant power ----------------------------------------------------
 
 
-@pytest.mark.parametrize("name,index_max", [("FIB", 4), ("PLAST", 3), ("A3", 3)])
+@pytest.mark.parametrize("name,index_max", [("FIB", 4), ("B", 4), ("PLAST", 3), ("A3", 3)])
 def test_invariant_power_matches_oracle_on_every_small_subgroup(named_maps, name, index_max):
-    images = induced_outer_automorphism(named_maps[name])
+    f = named_maps[name]
+    images = induced_outer_automorphism(f)
     symbols = tuple(sorted(images))
-    powers = set()
+    seen = set()
     for m in range(1, index_max + 1):
-        for H in subgroups(symbols, m):
-            k = smallest_invariant_power(images, H, K_MAX)
-            assert k == old.smallest_invariant_power(images, H, K_MAX)
-            powers.add(k)
+        listed = subgroups(symbols, m)
+        # the oracle's least k <= K_MAX decides every smaller bound too
+        expected = [old.smallest_invariant_power(images, H, K_MAX) for H in listed]
+        for k_max in range(1, K_MAX + 1):
+            assert invariant_powers(images, listed, k_max) == [
+                k if k is not None and k <= k_max else None for k in expected
+            ]
+        seen.update(expected)
+        for H in listed:
+            # the cover rank ``fibercomm cover`` reports, by Schreier's formula
+            assert m * (len(images) - 1) + 1 == rank(build_cover(f.domain, H).total)
     # some subgroups move for several steps, and some stay out of reach
-    assert None in powers and any(k and k > 1 for k in powers)
+    assert None in seen and any(k and k > 1 for k in seen)
 
 
 @given(
@@ -76,9 +87,9 @@ def test_invariant_power_matches_oracle_on_nielsen_compositions(ms, m, which, k_
     for i in ms:
         images = compose_images(NIELSEN[i], images)
     listed = subgroups(("a", "b"), m)
-    H = listed[which % len(listed)]
-    assert smallest_invariant_power(images, H, k_max) == old.smallest_invariant_power(
-        images, H, k_max
+    i = which % len(listed)
+    assert invariant_powers(images, listed, k_max)[i] == old.smallest_invariant_power(
+        images, listed[i], k_max
     )
 
 
@@ -89,8 +100,8 @@ def lifts(f, m):
     """The lift of f^k to each index-m cover H, for each multiple k <= K_MAX
     of its least invariant power."""
     images = induced_outer_automorphism(f)
-    for H in subgroups(tuple(sorted(images)), m):
-        k0 = smallest_invariant_power(images, H, K_MAX)
+    listed = subgroups(tuple(sorted(images)), m)
+    for H, k0 in zip(listed, invariant_powers(images, listed, K_MAX)):
         if k0 is None:
             continue
         for k in range(k0, K_MAX + 1, k0):
@@ -179,8 +190,8 @@ def test_descent_builds_one_cover_and_enumerates_nothing(named_maps, monkeypatch
     def unreachable(*args, **kwargs):
         raise AssertionError("descent enumerated subgroups")
 
-    monkeypatch.setattr(commensurability, "build_cover", counted)
-    monkeypatch.setattr(commensurability, "enumerate_subgroups", unreachable)
+    monkeypatch.setattr(covers, "build_cover", counted)
+    monkeypatch.setattr(covers, "enumerate_subgroups", unreachable)
     lifted = next(lifts(named_maps["PLAST"], 3))
     assert _try_descend(from_graph_map(lifted), 3) is not None
     assert len(built) == 1
@@ -210,7 +221,7 @@ def test_fib_descends_from_the_index_9_cover_past_the_subgroup_cap(fib):
             trans[(3 * i + j, "b")] = 3 * i + (j + 1) % 3
     H = SubgroupGraph(("a", "b"), tuple(range(9)), trans, 0).canonical()
     images = induced_outer_automorphism(fib)
-    assert smallest_invariant_power(images, H, K_MAX) == 1
+    assert invariant_powers(images, [H], K_MAX) == [1]
     lifted = lift_map(fib, build_cover(fib.domain, H), 1)
     descended = _try_descend(from_graph_map(lifted), 9)
     assert descended is not None

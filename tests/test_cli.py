@@ -389,3 +389,75 @@ def test_replay_rejects_subgroup_over_more_symbols(fixture_dir, certificate, tmp
     argv = ["compare", str(fixture_dir / "lift3.json"), str(fixture_dir / "FIB.json")]
     assert main(argv + ["--replay", str(cert), "--out", str(out)]) == 1
     assert json.loads(out.read_text()) == {"replay": False}
+
+
+LOADED = """
+import sys
+from fibercomm.cli import main
+code = main(sys.argv[1:])
+print(code, " ".join(sorted(m for m in sys.modules if m.startswith("fibercomm."))))
+"""
+
+
+# command -> (modules it runs, modules it must not load)
+LOADS = {
+    "cover": ({"covers", "spectral"}, {"commensurability", "searches", "whitehead", "descent"}),
+    "compare": ({"commensurability", "spectral"}, {"searches", "whitehead", "descent"}),
+    "replay": ({"commensurability"}, {"spectral", "searches", "whitehead", "descent"}),
+    "analyze": ({"searches", "whitehead", "spectral"}, {"covers", "commensurability", "descent"}),
+    "minimize": ({"descent", "searches"}, set()),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_a_command_loads_only_the_modules_it_runs(fixture_dir, certificate, tmp_path, command):
+    """Every process compiles what it imports, so a command imports the
+    modules it runs and no others."""
+    runs, skips = LOADS[command]
+    lift3, fib = str(fixture_dir / "lift3.json"), str(fixture_dir / "FIB.json")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate))
+    argv = {
+        "cover": ["cover", fib],
+        "compare": ["compare", lift3, fib, "--k-max", "3", "--p-max", "1"],
+        "replay": ["compare", lift3, fib, "--replay", str(cert)],
+        "analyze": ["analyze", fib],
+        "minimize": ["minimize", lift3],
+    }[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fibercomm.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv, "--out", str(tmp_path / "out.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    code, *names = run.stdout.split()
+    loaded = {name.removeprefix("fibercomm.") for name in names}
+    assert code == "0"
+    assert runs <= loaded
+    assert not skips & loaded
+
+
+def test_cover_keeps_its_pf_roots_for_one_job(fixture_dir, tmp_path, monkeypatch):
+    """One PF root per characteristic polynomial within a job, and none
+    carried over to the next job in the same process."""
+    from fibercomm import spectral
+
+    found = []
+    pf_root = spectral._pf_root
+
+    def counted(cp):
+        found.append(cp)
+        return pf_root(cp)
+
+    monkeypatch.setattr(spectral, "_pf_root", counted)
+    argv = ["cover", str(fixture_dir / "FIB.json"), "--index-max", "4"]
+    outputs = []
+    for run in (1, 2):
+        found.clear()
+        out = tmp_path / f"run{run}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        entries = json.loads(out.read_text())["covers"]
+        lifts = [c["lift_stretch"] for c in entries if c["lift_exists"]]
+        assert sorted(found) == sorted({tuple(s["char_poly"]) for s in lifts})
+        assert len(found) < len(lifts)
+    assert outputs[0] == outputs[1]

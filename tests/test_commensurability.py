@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from action_oracle import image_subgroup
@@ -13,7 +11,6 @@ from fibercomm.commensurability import (
     from_graph_map,
     greater_than,
     minimal_element_search,
-    quotient_descent,
     replay_witness,
     witness_from_lift,
 )
@@ -21,12 +18,13 @@ from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
     full_group,
+    invariant_powers,
     lift_map,
-    smallest_invariant_power,
     subgroup_from_json_dict,
     subgroup_to_json_dict,
 )
 from fibercomm import commensurability, errors, spectral, whitehead, words
+from fibercomm.descent import quotient_descent
 from fibercomm.errors import NotAnAutomorphism, NotRotationless
 from fibercomm.graph import rank, rose
 from fibercomm.maps import GraphMap, map_power
@@ -204,9 +202,7 @@ def test_rank_gate(phi, psi):
 
 def test_transitive_composition(fib, fib3_lift, psi, phi):
     subs2 = enumerate_subgroups(3, 2, symbols=psi.symbols)
-    H2 = next(
-        h for h in subs2 if smallest_invariant_power(psi.images, h, 3) == 1
-    )
+    H2 = next(h for h, k in zip(subs2, invariant_powers(psi.images, subs2, 3)) if k == 1)
     cover2 = build_cover(fib3_lift.domain, H2)
     lifted2 = lift_map(fib3_lift, cover2, 3)
     assert lifted2 is not None

@@ -6,27 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_oracle
 from action_oracle import image_subgroup
+from extension_oracle import extend_restriction, kernel_of_coset_action, restriction_images
 from fibercomm.covers import (
     SUBGROUP_CAP,
     build_cover,
-    check_automorphism,
     enumerate_subgroups,
-    extend_restriction,
     fold_subgroup_graph,
     full_group,
     hall_count,
-    kernel_of_coset_action,
+    invariant_powers,
     lift_map,
     lift_path,
-    restriction_images,
-    smallest_invariant_power,
     solve_conjugacy,
     subgroup_from_json_dict,
     subgroup_to_json_dict,
 )
 from fibercomm.errors import ResourceBound
 from fibercomm.graph import rank, rose
-from fibercomm.maps import induced_outer_automorphism, map_power
+from fibercomm.maps import GraphMap, induced_outer_automorphism, map_power
 from fibercomm.words import (
     apply_images,
     concat,
@@ -166,12 +163,46 @@ def test_identification_words(double_cover):
 # --- invariance and lifting ----------------------------------------------
 
 
-def test_smallest_invariant_power_is_three(fib, parity_subgroup):
+def test_invariant_power_is_three(fib, parity_subgroup):
     images = induced_outer_automorphism(fib)
-    assert smallest_invariant_power(images, parity_subgroup, 4) == 3
+    subgroups = enumerate_subgroups(2, 2)
+    powers = invariant_powers(images, subgroups, 4)
+    assert powers[subgroups.index(parity_subgroup)] == 3
     # directly: Phi^3(H) = H
     H3 = image_subgroup(power_images(images, 3), parity_subgroup)
     assert H3.key() == parity_subgroup.key()
+
+
+def test_invariant_powers_refuse_a_list_phi_leaves(fib, parity_subgroup):
+    # Phi^-1 moves the parity subgroup (k = 3), out of a list holding only it
+    with pytest.raises(ValueError):
+        invariant_powers(induced_outer_automorphism(fib), [parity_subgroup], 4)
+
+
+def test_lift_map_validates_in_sorted_order(fib, double_cover, monkeypatch):
+    # both points of the basepoint's fiber give a lift of FIB^3; the least
+    # is returned, and a least one that fails validation is skipped
+    validate = GraphMap.validate
+    checked = []
+
+    def counted(m):
+        checked.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(GraphMap, "validate", counted)
+    least = lift_map(fib, double_cover, 3)
+    assert checked == [least]
+
+    def refuse_least(m):
+        checked.append(m)
+        return ["refused"] if m == least else validate(m)
+
+    checked.clear()
+    monkeypatch.setattr(GraphMap, "validate", refuse_least)
+    other = lift_map(fib, double_cover, 3)
+    assert other is not None and other != least
+    assert sorted(least.edge_map.items()) < sorted(other.edge_map.items())
+    assert checked == [least, other]
 
 
 def test_no_lift_below_invariant_power(fib, double_cover):

@@ -13,8 +13,8 @@ from functools import lru_cache
 from hypothesis import assume, given, reject, settings, strategies as st
 
 import descent_oracle as old
-from fibercomm.commensurability import quotient_descent
 from fibercomm.covers import CoveringMap, build_cover, enumerate_subgroups, lift_map
+from fibercomm.descent import quotient_descent
 from fibercomm.graph import MarkedGraph, OrientedEdge, rose
 from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import base, free_reduce, inv, inverse

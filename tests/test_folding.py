@@ -43,7 +43,7 @@ def test_fib_twentieth_power_images_fold_to_full_group():
     assert fields(folded) == fields(covers.full_group(("a", "b")))
 
 
-def test_smallest_invariant_power_checks_the_automorphism_once(monkeypatch, parity_subgroup):
+def test_invariant_powers_check_the_automorphism_once(monkeypatch, parity_subgroup):
     calls = []
     check = covers.check_automorphism
 
@@ -52,10 +52,12 @@ def test_smallest_invariant_power_checks_the_automorphism_once(monkeypatch, pari
         return check(images, symbols)
 
     monkeypatch.setattr(covers, "check_automorphism", counted)
-    assert covers.smallest_invariant_power(FIB, parity_subgroup, 6) == 3
+    subgroups = covers.enumerate_subgroups(2, 2)
+    powers = covers.invariant_powers(FIB, subgroups, 6)
+    assert powers[subgroups.index(parity_subgroup)] == 3
     assert len(calls) == 1
     with pytest.raises(NotAnAutomorphism):
-        covers.smallest_invariant_power({"a": ("a", "a"), "b": ("b",)}, parity_subgroup, 6)
+        covers.invariant_powers({"a": ("a", "a"), "b": ("b",)}, subgroups, 6)
 
 
 def test_union_find_keeps_the_second_representative():

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as old
-from fibercomm import maps, words
+from fibercomm import maps, searches, words
 from fibercomm.covers import (
     SubgroupGraph,
     build_cover,
     enumerate_subgroups,
     fold_subgroup_graph,
+    invariant_powers,
     lift_map,
-    smallest_invariant_power,
 )
 from fibercomm.errors import UnknownEdge
 from fibercomm.graph import MarkedGraph, OrientedEdge, bfs_marked_graph, rose, validate_graph
@@ -125,6 +125,20 @@ def test_graph_adjacency_matches_oracle(kernel_maps, name):
         assert list(g.edges_at(v)) == old.edges_at(g, v)
 
 
+def test_edge_ends_match_oracle(kernel_maps):
+    # ids "y" and "~y" side by side: "~~y" reads the record of "~y"
+    odd = MarkedGraph(
+        ("u", "v"), {"y": OrientedEdge("y", "u", "v"), "~y": OrientedEdge("~y", "v", "v")}
+    )
+    for g in [f.domain for f in kernel_maps.values()] + [odd]:
+        letters = list(g.oriented_edges()) + ["x", "~x", "~~a", "~~y", "~~~y"]
+        for e in letters:
+            assert outcome(g.edge_src, e) == outcome(old.edge_src, g, e)
+            assert outcome(g.edge_dst, e) == outcome(old.edge_dst, g, e)
+        for e in ("x", "~x"):
+            assert outcome(g.edge_src, e)[0] is outcome(g.edge_dst, e)[0] is UnknownEdge
+
+
 # --- words ----------------------------------------------------------------
 
 
@@ -167,11 +181,11 @@ PERIOD_BOUND, LENGTH_BOUND, K_MAX, P_MAX = 2, 5, 6, 2
 def test_nielsen_search_matches_oracle(kernel_maps, name, monkeypatch):
     f = kernel_maps[name]
     fr = map_power(f, rotationless_power(f, K_MAX))
-    new_vertex = maps._vertex_nielsen_paths(fr, PERIOD_BOUND, LENGTH_BOUND)
+    new_vertex = searches._vertex_nielsen_paths(fr, PERIOD_BOUND, LENGTH_BOUND)
     new = maps.find_nielsen_paths(fr, PERIOD_BOUND, LENGTH_BOUND)
     assert new_vertex == old._vertex_nielsen_paths(fr, PERIOD_BOUND, LENGTH_BOUND)
     monkeypatch.setattr(maps, "apply_map", old.apply_map)
-    monkeypatch.setattr(maps, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
+    monkeypatch.setattr(searches, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
     assert new == maps.find_nielsen_paths(fr, PERIOD_BOUND, LENGTH_BOUND)
 
 
@@ -207,14 +221,14 @@ def least_rotations(symbols, n):
 @SETTINGS
 def test_necklace_walk_yields_the_least_rotations(symbols, n):
     # each state is the word spelled so far, grown one letter at a time
-    walked = list(maps._necklaces(symbols, n, lambda word, x: word + (x,), ()))
+    walked = list(searches._necklaces(symbols, n, lambda word, x: word + (x,), ()))
     assert [w for w, _ in walked] == least_rotations(symbols, n)
     assert all(state == w for w, state in walked)
 
 
 def test_necklace_walk_keeps_periodic_words():
     # (a b)^2 and a^4 are least rotations with a period that divides n
-    walked = [w for w, _ in maps._necklaces(("a", "b"), 4, lambda word, x: None, None)]
+    walked = [w for w, _ in searches._necklaces(("a", "b"), 4, lambda word, x: None, None)]
     assert ("a", "b", "a", "b") in walked and ("a", "a", "a", "a") in walked
     assert ("a", "b", "a", "~b") in walked and ("a", "~b", "a", "b") not in walked
     assert ("b", "a", "b", "a") not in walked
@@ -289,12 +303,12 @@ def graph_maps(draw):
 @settings(max_examples=80, deadline=None)
 def test_nielsen_search_matches_oracle_on_random_maps(f, period_bound, length_bound):
     assert f.validate() == []
-    new = maps._vertex_nielsen_paths(f, period_bound, length_bound)
+    new = searches._vertex_nielsen_paths(f, period_bound, length_bound)
     assert new == old._vertex_nielsen_paths(f, period_bound, length_bound)
     found = maps.find_nielsen_paths(f, period_bound, length_bound)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maps, "apply_map", old.apply_map)
-        patch.setattr(maps, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
+        patch.setattr(searches, "_vertex_nielsen_paths", old._vertex_nielsen_paths)
         assert found == maps.find_nielsen_paths(f, period_bound, length_bound)
 
 
@@ -371,8 +385,9 @@ def test_gate_partition_matches_oracle_on_lifts(kernel_maps, name, m):
     f = kernel_maps[name]
     images = induced_outer_automorphism(f)
     lifts = 0
-    for H in enumerate_subgroups(len(images), m, symbols=sorted(images)):
-        k = smallest_invariant_power(images, H, 4 if (name, m) == ("A3", 3) else 7)
+    subgroups = enumerate_subgroups(len(images), m, symbols=sorted(images))
+    powers = invariant_powers(images, subgroups, 4 if (name, m) == ("A3", 3) else 7)
+    for H, k in zip(subgroups, powers):
         cover = build_cover(f.domain, H)
         lifted = None if k is None else lift_map(f, cover, k)
         if lifted is not None:
@@ -446,18 +461,18 @@ def test_canonical_matches_oracle_on_random_subgroup_graphs(sg):
 def test_prune_keeps_a_bound_equal_to_the_length_bound():
     # |f_#(sigma)| = 7, one edge left, edge images of length <= 2: the
     # extension could still have an image of length 7 - 2 = 5 = L.
-    assert not maps._beyond_reach([7], [2], 1, 5)
-    assert maps._beyond_reach([8], [2], 1, 5)
+    assert not searches._beyond_reach([7], [2], 1, 5)
+    assert searches._beyond_reach([8], [2], 1, 5)
     # every period must be out of reach, not just one
-    assert not maps._beyond_reach([8, 9], [2, 4], 1, 5)
-    assert maps._beyond_reach([8, 10], [2, 4], 1, 5)
+    assert not searches._beyond_reach([8, 9], [2, 4], 1, 5)
+    assert searches._beyond_reach([8, 10], [2, 4], 1, 5)
 
 
 def test_nielsen_search_at_a_large_period_bound():
     # a -> b, b -> a: every path returns after two steps; 3000 levels must
     # not recurse
     swap = GraphMap(rose(("a", "b")), {"v0": "v0"}, {"a": ("b",), "b": ("a",)})
-    found = maps._vertex_nielsen_paths(swap, 3000, 2)
+    found = searches._vertex_nielsen_paths(swap, 3000, 2)
     assert found == old._vertex_nielsen_paths(swap, 3000, 2)
     assert {p for _, p, _ in found} == {2}
 

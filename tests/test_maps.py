@@ -17,7 +17,7 @@ from fibercomm.maps import (
     map_power,
     transition_matrix,
 )
-from fibercomm.words import apply_images, free_reduce, inverse, power_images
+from fibercomm.words import apply_images, inverse, power_images
 
 
 def test_edge_image_reversal(fib):

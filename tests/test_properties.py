@@ -4,24 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from action_oracle import image_subgroup
+from extension_oracle import extend_restriction, restriction_images
 from fibercomm.covers import (
     build_cover,
     enumerate_subgroups,
-    extend_restriction,
+    invariant_powers,
     lift_map,
-    restriction_images,
-    smallest_invariant_power,
 )
 from fibercomm.graph import rank
 from fibercomm.maps import induced_outer_automorphism
-from fibercomm.words import (
-    apply_images,
-    compose_images,
-    free_reduce,
-    identity_images,
-    inverse,
-    power_images,
-)
+from fibercomm.words import compose_images, identity_images, power_images
 
 # elementary Nielsen transformations of F(a, b)
 NIELSEN = [
@@ -56,7 +48,7 @@ def test_nielsen_compositions_are_automorphisms(ms):
 def test_extension_recovers_restricted_automorphism(ms, which):
     images = compose_moves(ms)
     H = enumerate_subgroups(2, 2)[which]
-    k = smallest_invariant_power(images, H, 6)
+    k = invariant_powers(images, enumerate_subgroups(2, 2), 6)[which]
     if k is None:
         return
     powered = power_images(images, k)
@@ -72,7 +64,7 @@ def test_extension_recovers_restricted_automorphism(ms, which):
 def test_image_subgroup_respects_invariance(ms, which):
     images = compose_moves(ms)
     H = enumerate_subgroups(2, 2)[which]
-    k = smallest_invariant_power(images, H, 4)
+    k = invariant_powers(images, enumerate_subgroups(2, 2), 4)[which]
     if k is None:
         return
     assert image_subgroup(power_images(images, k), H).key() == H.key()
@@ -85,7 +77,7 @@ def test_image_subgroup_respects_invariance(ms, which):
 def test_lift_exists_iff_invariant_power_divides(fib, which):
     H = enumerate_subgroups(2, 2)[which]
     images = induced_outer_automorphism(fib)
-    k0 = smallest_invariant_power(images, H, 6)
+    k0 = invariant_powers(images, enumerate_subgroups(2, 2), 6)[which]
     assert k0 == 3
     cover = build_cover(fib.domain, H)
     for k in range(1, 7):

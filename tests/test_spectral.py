@@ -1,7 +1,6 @@
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fibercomm.maps import map_power, transition_matrix

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import spectral_oracle as old
 from fibercomm import spectral
 from fibercomm.commensurability import from_graph_map
-from fibercomm.covers import build_cover, enumerate_subgroups, lift_map, smallest_invariant_power
+from fibercomm.covers import build_cover, enumerate_subgroups, invariant_powers, lift_map
 from fibercomm.errors import ZeroMatrix
 from fibercomm.graph import rose
 from fibercomm.maps import GraphMap, map_power, transition_matrix
@@ -33,8 +33,8 @@ def cover_lifts(images, index_max, k_max):
     phi = from_graph_map(f)
     out = []
     for m in range(2, index_max + 1):
-        for H in enumerate_subgroups(phi.rank, m, symbols=phi.symbols):
-            k = smallest_invariant_power(phi.images, H, k_max)
+        subgroups = enumerate_subgroups(phi.rank, m, symbols=phi.symbols)
+        for H, k in zip(subgroups, invariant_powers(phi.images, subgroups, k_max)):
             if k is not None:
                 lifted = lift_map(f, build_cover(f.domain, H), k)
                 if lifted is not None:
