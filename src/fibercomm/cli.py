@@ -16,7 +16,6 @@ from .errors import (
     FibercommError,
     NotRotationless,
     ResourceBound,
-    SolverBound,
 )
 from .graph import graph_from_json_dict, rank, validate_graph
 from .maps import (
@@ -340,7 +339,7 @@ def main(argv=None):
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResourceBound, SolverBound) as exc:
+    except ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except NotRotationless:

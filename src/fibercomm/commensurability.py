@@ -69,9 +69,6 @@ class OuterAutomorphism:
             None if self.representative is None else map_power(self.representative, k),
         )
 
-    def apply(self, word):
-        return apply_images(self.images, word)
-
     def stretch_factor(self):
         """The PF data of the representative's transition matrix, when the
         representative is a train track; None otherwise.

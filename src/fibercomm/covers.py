@@ -133,37 +133,6 @@ class SubgroupGraph:
             for s, x, t in self._generator_index
         ]
 
-    def express_in_basis(self, word, gen_symbols=None):
-        """Rewrite a member word over the subgroup basis.
-
-        Returns a word over ``gen_symbols`` (defaults to ``x0, x1, ...`` in
-        the order of :meth:`basis`).  Raises ValueError for non-members.
-        """
-        gen_index = self._generator_index
-        if gen_symbols is None:
-            gen_symbols = [f"x{i}" for i in range(len(gen_index))]
-        inn = self._in_map
-        out = []
-        state = self.basepoint
-        for letter in free_reduce(word):
-            if is_positive(letter):
-                nxt = self.trans.get((state, letter))
-                edge = (state, letter, nxt)
-                sign = 1
-            else:
-                nxt = inn.get((state, base(letter)))
-                edge = (nxt, base(letter), state)
-                sign = -1
-            if nxt is None:
-                raise ValueError("word leaves the subgroup graph")
-            if edge in gen_index:
-                sym = gen_symbols[gen_index[edge]]
-                out.append(sym if sign > 0 else inv(sym))
-            state = nxt
-        if state != self.basepoint:
-            raise ValueError("word is not a member of the subgroup")
-        return free_reduce(tuple(out))
-
 
 # --- folding ------------------------------------------------------------
 

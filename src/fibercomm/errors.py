@@ -37,10 +37,6 @@ class ResourceBound(FibercommError):
     pass
 
 
-class SolverBound(FibercommError):
-    pass
-
-
 class PreconditionFailed(FibercommError):
     pass
 

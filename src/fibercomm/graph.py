@@ -45,20 +45,18 @@ class MarkedGraph:
 
     # --- incidence -----------------------------------------------------
 
-    def has_edge(self, e):
-        return base(e) in self.edges
-
     @cached_property
     def _ends(self):
-        """Oriented edge -> (edge_src, edge_dst), for each letter whose
-        ``base`` is an edge id.  ``edge_dst(d)`` is ``edge_src(inv(d))``,
-        None here when that letter is unknown."""
+        """Oriented edge -> (edge_src, edge_dst), for each letter d such that
+        d and inv(d) both name an end of an edge: ``edge_dst(d)`` is
+        ``edge_src(inv(d))``, and a letter one of them refuses is unknown
+        to both."""
         src = {}
         for e, data in self.edges.items():
             if is_positive(e):
                 src[e] = data.src
             src["~" + e] = data.dst
-        return {d: (v, src.get(inv(d))) for d, v in src.items()}
+        return {d: (v, src[inv(d)]) for d, v in src.items() if inv(d) in src}
 
     def edge_src(self, e):
         ends = self._ends.get(e)
@@ -68,8 +66,8 @@ class MarkedGraph:
 
     def edge_dst(self, e):
         ends = self._ends.get(e)
-        if ends is None or ends[1] is None:
-            return self.edge_src(inv(e))
+        if ends is None:
+            raise UnknownEdge(e)
         return ends[1]
 
     def edge_length(self, e):

@@ -56,9 +56,6 @@ class GraphMap:
     def edge_image(self, e):
         return self._images[e]
 
-    def vertex_image(self, v):
-        return self.vertex_map[v]
-
     def validate(self):
         g = self.domain
         problems = []
@@ -88,9 +85,6 @@ class GraphMap:
 
     def directions(self):
         return self.domain.oriented_edges()
-
-    def direction_image(self, d):
-        return self.edge_image(d)[0]
 
     @cached_property
     def direction_map(self):
@@ -183,10 +177,7 @@ def is_irreducible_matrix(mat):
 @record
 class TrainTrackVerdict:
     is_train_track: bool
-    illegal_turns: frozenset  # frozensets of direction pairs
-    gates: tuple  # tuple of frozensets partitioning directions, per vertex
     irreducible: bool
-    witness: tuple = None  # (power, edge) exhibiting cancellation, if found
 
 
 def illegal_turns(f: GraphMap):
@@ -216,38 +207,11 @@ def gate_partition(f: GraphMap):
     return tuple(sorted(frozenset(c) for c in classes.values()))
 
 
-def _cancellation_witness(f: GraphMap, power_bound):
-    """Search for the least power at which some edge image fails to be reduced."""
-    for e in sorted(f.domain.edges):
-        path = (e,)
-        for k in range(1, power_bound + 1):
-            raw = [y for x in path for y in f.edge_image(x)]
-            if free_reduce(tuple(raw)) != tuple(raw):
-                return (k, e)
-            path = tuple(raw)
-    return None
-
-
-# Most powers of f searched for the cancellation witness is_train_track reports.
-WITNESS_POWER_BOUND = 10
-
-
 def is_train_track(f: GraphMap):
-    """Exact train track verdict: no taken turn lies inside a gate.
-
-    ``WITNESS_POWER_BOUND`` only caps the search for a reported cancellation
-    witness; the verdict itself is decided on the finite turn set.
-    """
-    bad = illegal_turns(f)
-    taken = f.taken_turns()
-    ok = not (bad & taken)
-    witness = None if ok else _cancellation_witness(f, WITNESS_POWER_BOUND)
+    """Exact train track verdict: no taken turn lies inside a gate."""
     return TrainTrackVerdict(
-        is_train_track=ok,
-        illegal_turns=bad,
-        gates=gate_partition(f),
+        is_train_track=not (illegal_turns(f) & f.taken_turns()),
         irreducible=is_irreducible_matrix(transition_matrix(f)),
-        witness=witness,
     )
 
 
@@ -286,12 +250,15 @@ class NielsenPath:
     """A path with g^p-invariant homotopy class rel endpoints.
 
     ``path`` carries the full-edge support; an interior endpoint lies inside
-    the first/last edge at the recorded exact parameter.
+    the first/last edge.  Its exact position is the share of that edge's
+    eigen-metric length between the point and the edge's end nearer the
+    illegal turn, written "n0,n1,.../d0,d1,..." with the coefficients in
+    lambda, lowest degree first, of its numerator and denominator.
     """
 
     path: tuple
     period: int
-    endpoints: tuple  # two of ("vertex", v) or ("interior", edge, str exact, float)
+    endpoints: tuple  # two of ("vertex", v) or ("interior", edge, str exact)
     indivisible: bool = True
 
 

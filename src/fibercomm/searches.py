@@ -16,6 +16,7 @@ from collections import Counter
 from . import maps
 from .errors import ZeroMatrix
 from .maps import GraphMap
+from .spectral import _add, _divmod_monic, _mul, _sign, _sub
 from .words import base, inv, inverse
 
 
@@ -141,7 +142,14 @@ def _beyond_reach(lengths, reach, left, bound):
 
 def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
     """Two-legal-legs-at-one-illegal-turn candidates with endpoints at
-    exact fixed points of the eigen-metric, located in Q(lambda)."""
+    exact fixed points of the eigen-metric.
+
+    Edge lengths lie in Q(lambda), as integer polynomials in lambda
+    (``spectral.pf_left_eigenvector``).  At period p a leg's endpoint lies
+    at distance metric(tau) / (lambda^p - 1) from the turn.  As
+    lambda^p - 1 > 0, the legs are measured in lengths scaled by
+    lambda^p - 1 and compared with metric(tau), so nothing is divided.
+    """
     from .spectral import pf_data, pf_left_eigenvector
 
     mat = maps.transition_matrix(f)
@@ -151,36 +159,30 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
         return []
     if not sf.expanding:
         return []
-    field = sf.field()
-    order = maps.orbit_order(f.domain)
-    lengths = pf_left_eigenvector(mat, field)
-    if field.sign(lengths[0]) < 0:
-        lengths = [field.neg(x) for x in lengths]
-    ell = {e: lengths[i] for i, e in enumerate(order)}
-
-    def metric(path):
-        total = field.zero()
-        for e, n in Counter(map(base, path)).items():
-            total = field.add(total, field.scale(ell[e], n))
-        return total
+    ell = dict(zip(maps.orbit_order(f.domain), pf_left_eigenvector(mat, sf)))
+    scaled = {}
+    for p in range(1, period_bound + 1):
+        denom = _divmod_monic([-1] + [0] * (p - 1) + [1], sf.min_poly)[1]  # lambda^p - 1
+        scaled[p] = {e: _divmod_monic(_mul(denom, x), sf.min_poly)[1] for e, x in ell.items()}
 
     bad = maps.illegal_turns(f)
     legal_next = _legal_continuations(f, bad)
     results = []
-    lam = field.root()
     for turn in sorted(bad, key=sorted):
         d1, d2 = sorted(turn)
         for p in range(1, period_bound + 1):
-            lam_p = field.one()
-            for _ in range(p):
-                lam_p = field.mul(lam_p, lam)
-            denom = field.sub(lam_p, field.one())
-            hit = _grow_legs(
-                f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell
-            )
+            hit = _grow_legs(f, d1, d2, p, length_bound, legal_next, sf, ell, scaled[p])
             if hit is not None:
                 results.append(hit)
     return results
+
+
+def _metric(path, lengths):
+    """The sum of ``lengths`` over the edges of ``path``."""
+    total = []
+    for e, n in Counter(map(base, path)).items():
+        total = _add(total, [n * c for c in lengths[e]])
+    return total
 
 
 def _legal_continuations(f: GraphMap, bad_turns):
@@ -199,8 +201,11 @@ def _legal_continuations(f: GraphMap, bad_turns):
     return table
 
 
-def _grow_legs(f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell):
-    """Depth-first coupled growth of the two legs; returns the first hit."""
+def _grow_legs(f, d1, d2, p, length_bound, legal_next, sf, ell, scaled):
+    """Depth-first coupled growth of the two legs; returns the first hit.
+
+    ``ell`` is the eigen-metric and ``scaled`` the same lengths times
+    lambda^p - 1."""
     stack = [((d1,), (d2,))]
     seen = set()
     while stack:
@@ -218,14 +223,14 @@ def _grow_legs(f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell
             continue
         if _common_path_prefix(b_tail, beta) not in (b_tail[: len(beta)], beta):
             continue
-        target = field.div(metric(tau), denom)
-        end_a = _locate(field, alpha, target, ell, f.domain, start=False)
-        end_b = _locate(field, beta, target, ell, f.domain, start=False)
+        target = _metric(tau, ell)
+        end_a = _locate(sf, alpha, target, scaled, f.domain)
+        end_b = _locate(sf, beta, target, scaled, f.domain)
         if end_a is not None and end_b is not None:
             if end_a[0] == "vertex" and end_b[0] == "vertex":
                 continue  # vertex-endpoint paths come from the direct search
             sigma = tuple(inv(x) for x in reversed(alpha)) + beta
-            return (sigma, p, (_flip(end_a, alpha, f.domain), end_b))
+            return (sigma, p, (_flip(end_a), end_b))
         # pull: adopt the image tails when they extend the current legs
         grew = False
         if len(a_tail) > len(alpha) and a_tail[: len(alpha)] == alpha:
@@ -245,7 +250,7 @@ def _grow_legs(f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell
             continue
         # branch on extending whichever leg is metrically short
         for leg, other, first in ((alpha, beta, True), (beta, alpha, False)):
-            if field.lt(metric(leg), target):
+            if _sign(_sub(_metric(leg, scaled), target), sf) < 0:
                 for d in legal_next[leg[-1]]:
                     ext = leg + (d,)
                     stack.append((ext, other) if first else (other, ext))
@@ -253,17 +258,18 @@ def _grow_legs(f, d1, d2, p, length_bound, legal_next, field, metric, denom, ell
     return None
 
 
-def _locate(field, leg, target, ell, g, start):
-    """Endpoint descriptor for the point at metric distance ``target`` along
-    the leg; None if the leg is too short."""
-    acc = field.zero()
+def _locate(sf, leg, target, scaled, g):
+    """Endpoint descriptor for the point at ``scaled`` distance ``target``
+    along the leg; None if the leg is too short.  An interior point carries
+    its distance from the start of its edge as a share of the edge's
+    length, numerator and denominator as coefficients in lambda."""
+    acc = []
     for i, d in enumerate(leg):
-        nxt = field.add(acc, ell[base(d)])
-        s_here = field.sign(field.sub(target, nxt))
+        nxt = _add(acc, scaled[base(d)])
+        s_here = _sign(_sub(target, nxt), sf)
         if s_here < 0:
-            t = field.sub(target, acc)
-            exact = ",".join(str(c) for c in t)
-            return ("interior", d, exact, float(field.approx(t)))
+            share = (_sub(target, acc), scaled[base(d)])
+            return ("interior", d, "/".join(",".join(map(str, x)) or "0" for x in share))
         if s_here == 0:
             if i == len(leg) - 1:
                 return ("vertex", g.edge_dst(d))
@@ -272,12 +278,12 @@ def _locate(field, leg, target, ell, g, start):
     return None
 
 
-def _flip(endpoint, alpha, g):
+def _flip(endpoint):
     """Re-express an endpoint found along alpha on the reversed carrier."""
     if endpoint[0] == "vertex":
         return endpoint
-    _, d, exact, approx = endpoint
-    return ("interior", inv(d), exact, approx)
+    _, d, exact = endpoint
+    return ("interior", inv(d), exact)
 
 
 def _necklaces(symbols, n, grow, root):

@@ -6,7 +6,8 @@ is isolated by Sturm sequences, its minimal polynomial is the Zassenhaus
 factor (Berlekamp mod p, Hensel lifting, recombination) vanishing in the
 isolating interval, and power identities between stretch factors are
 decided by Sturm counts on a polynomial gcd.  Floating point only appears
-as a prefilter.
+as a prefilter.  An element of Q(lam) is an integer polynomial in lam
+reduced by lam's monic minimal polynomial (``pf_left_eigenvector``).
 """
 
 import math
@@ -17,165 +18,6 @@ from .errors import ZeroMatrix
 from .record import record
 
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
-
-
-# --- a tiny exact number field Q(root) ----------------------------------
-
-
-class RootField:
-    """Arithmetic in Q(r) for a real algebraic number r given by its minimal
-    polynomial (integer coefficients, lowest degree first) and an isolating
-    rational enclosure.
-
-    Elements are tuples of Fractions (coefficients of powers of r).  Signs
-    are decided by exact interval arithmetic, refining the enclosure on
-    demand; exact zero is the zero coefficient tuple, so the sign test
-    always terminates.
-    """
-
-    def __init__(self, min_poly_coeffs, enclosure):
-        self.min_poly = tuple(Fraction(c) for c in min_poly_coeffs)
-        self.degree = len(self.min_poly) - 1
-        self.lo, self.hi = Fraction(enclosure[0]), Fraction(enclosure[1])
-        # monic reduction rule: r^d = -(c_0 + c_1 r + ...)/c_d
-        lead = self.min_poly[-1]
-        self._reduction = tuple(-c / lead for c in self.min_poly[:-1])
-
-    # elements ----------------------------------------------------------
-
-    def zero(self):
-        return (Fraction(0),) * self.degree
-
-    def one(self):
-        return self.from_rational(1)
-
-    def from_rational(self, q):
-        return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
-
-    def root(self):
-        if self.degree == 1:
-            return self._reduction  # rational root
-        return (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def scale(self, a, q):
-        return tuple(x * Fraction(q) for x in a)
-
-    def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        for k in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for i, red in enumerate(self._reduction):
-                    prod[k - self.degree + i] += c * red
-        return tuple(prod[: self.degree])
-
-    def inv(self, a):
-        # extended Euclid for poly(a) and the minimal polynomial
-        if all(x == 0 for x in a):
-            raise ZeroDivisionError
-        r0, r1 = list(self.min_poly), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def strip(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = strip(r0), strip(r1)
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                out = [x / c for x in s1]
-                out += [Fraction(0)] * (self.degree - len(out))
-                return tuple(out[: self.degree])
-            q, rem = _poly_divmod(r0, r1)
-            s_new = _sub(s0, _mul(q, s1))
-            r0, s0 = r1, s1
-            r1, s1 = strip(rem), s_new
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    # sign machinery -----------------------------------------------------
-
-    def refine(self):
-        """Halve the enclosure, keeping the root inside (by sign change)."""
-        mid = (self.lo + self.hi) / 2
-        flo = _eval_poly(self.min_poly, self.lo)
-        fmid = _eval_poly(self.min_poly, mid)
-        if fmid == 0:
-            self.lo = self.hi = mid
-        elif (flo < 0) == (fmid < 0):
-            self.lo = mid
-        else:
-            self.hi = mid
-
-    def sign(self, a):
-        if all(x == 0 for x in a):
-            return 0
-        for _ in range(512):
-            lo, hi = _interval_eval(a, self.lo, self.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self.refine()
-        raise RuntimeError("sign did not resolve; enclosure refinement exhausted")
-
-    def eq(self, a, b):
-        return all(x == y for x, y in zip(a, b))
-
-    def lt(self, a, b):
-        return self.sign(self.sub(a, b)) < 0
-
-    def approx(self, a):
-        mid = (self.lo + self.hi) / 2
-        return _eval_poly(a, mid)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    return q, num[: len(den) - 1]
-
-
-def _eval_poly(coeffs, t):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + Fraction(c)
-    return acc
-
-
-def _interval_eval(coeffs, lo, hi):
-    """Exact interval Horner evaluation of a polynomial on [lo, hi]."""
-    alo = ahi = Fraction(0)
-    for c in reversed(coeffs):
-        c = Fraction(c)
-        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
-    return alo, ahi
 
 
 # --- integer polynomials, lowest degree first; [] is zero -----------------
@@ -266,6 +108,16 @@ def _sign_at(p, t):
         acc = acc * u + c * w
         w *= v
     return (acc > 0) - (acc < 0)
+
+
+def _interval_eval(coeffs, lo, hi):
+    """Exact interval Horner evaluation of a polynomial on [lo, hi]."""
+    alo = ahi = Fraction(0)
+    for c in reversed(coeffs):
+        c = Fraction(c)
+        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(products) + c, max(products) + c
+    return alo, ahi
 
 
 # --- real roots: Sturm sequences and bisection ---------------------------
@@ -530,9 +382,6 @@ class StretchFactor:
         lo, hi = self.enclosure
         return float((lo + hi) / 2)
 
-    def field(self):
-        return RootField(self.min_poly, self.enclosure)
-
 
 def _int_rows(mat):
     return [[int(x) for x in row] for row in mat]
@@ -604,49 +453,65 @@ def pf_data(mat, roots=None):
     return sf, is_irreducible_matrix(rows)
 
 
-def _solve_eigen(rows, field):
-    """Nullspace vector of (rows - lam*I) over Q(lam); rows is an integer matrix."""
-    n = len(rows)
-    lam = field.root()
-    a = [[field.from_rational(rows[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[i][i] = field.sub(a[i][i], lam)
-    # Gaussian elimination; the matrix is singular with nullity 1 for an
-    # irreducible PF system, so one free column remains.
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, n):
-            if not field.eq(a[r][col], field.zero()):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv_p = field.inv(a[row][col])
-        a[row] = [field.mul(v, inv_p) for v in a[row]]
-        for r in range(n):
-            if r != row and not field.eq(a[r][col], field.zero()):
-                factor = a[r][col]
-                a[r] = [
-                    field.sub(v, field.mul(factor, w)) for v, w in zip(a[r], a[row])
-                ]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        raise RuntimeError("eigenvalue is not an eigenvalue of the matrix")
-    fc = free[0]
-    vec = [field.zero()] * n
-    vec[fc] = field.one()
-    for r, col in enumerate(pivots):
-        vec[col] = field.neg(a[r][fc])
-    return vec
+def pf_left_eigenvector(mat, sf):
+    """A nonnegative left eigenvector v, vM = lam v, for the PF root lam of
+    the nonnegative integer matrix ``mat`` whose stretch factor data is
+    ``sf``.
+
+    Each entry is an element of Q(lam) written as an integer polynomial in
+    lam, lowest degree first, reduced by ``sf.min_poly``.  That polynomial
+    is monic, a factor of the monic characteristic polynomial c, so the
+    reduction is exact over the integers.
+
+    v is the first nonzero row of N, the first nonzero Taylor coefficient
+    at x = lam of adj(xI - M) = sum_k x^(n-1-k) B_k, where B_0 = I and
+    B_k = M B_(k-1) + c_(n-k) I.  B_k is a polynomial in M, so row i of B_k
+    is r_k = r_(k-1) M + c_(n-k) e_i.  N is adj(lam I - M) itself unless
+    lam's eigenspace has dimension 2 or more.  Comparing the lowest terms
+    of adj(xI - M) (xI - M) = c(x) I, which vanishes at lam to a higher
+    order than adj(xI - M), gives N (lam I - M) = 0.  For x > lam,
+    adj(xI - M) = c(x) sum_j M^j / x^(j+1) is nonnegative, so N, its limit
+    divided by a power of x - lam, is nonnegative too: v needs no change
+    of sign.
+    """
+    rows = _int_rows(mat)
+    n, c = len(rows), sf.char_poly
+    cols = list(zip(*rows))
+
+    def adj_row(i):
+        """Row i of adj(xI - M), each entry's coefficients in x, lowest first."""
+        r = [int(j == i) for j in range(n)]
+        rs = [r]
+        for k in range(1, n):
+            r = [sum(x * y for x, y in zip(r, col)) for col in cols]
+            r[i] += c[n - k]
+            rs.append(r)
+        return [[rs[n - 1 - d][j] for d in range(n)] for j in range(n)]
+
+    for t in range(n):  # entry (i, i) has x^(n-1) coefficient 1
+        for i in range(n):
+            v = [
+                _divmod_monic(_trim([math.comb(d, t) * e[d] for d in range(t, n)]), sf.min_poly)[1]
+                for e in adj_row(i)
+            ]
+            if any(v):
+                return v
 
 
-def pf_left_eigenvector(mat, field):
-    return _solve_eigen([list(col) for col in zip(*_int_rows(mat))], field)
+def _sign(p, sf):
+    """Sign of p(lam) for a polynomial ``p`` reduced by lam's minimal
+    polynomial, so that p(lam) = 0 only when p is [].  The enclosure is
+    halved until exact interval evaluation on it decides."""
+    if not p:
+        return 0
+    lo, hi = sf.enclosure
+    while True:
+        a, b = _interval_eval(p, lo, hi)
+        if a > 0:
+            return 1
+        if b < 0:
+            return -1
+        lo, hi = _narrow(sf.min_poly, lo, hi, (hi - lo) / 2)
 
 
 # --- rationality of log ratios ------------------------------------------

@@ -3,7 +3,11 @@ rigidity, acceptance criterion 13).
 
 No ``fibercomm`` command extends a restriction, so this code left
 ``fibercomm.covers`` and is kept here unchanged as a test oracle.  The only
-edit: the imports come from the package.
+edit: the imports come from the package.  ``express_in_basis``, which only
+this code called, left ``SubgroupGraph`` with it: the method became a
+function of the subgroup graph ``H`` (``self`` renamed), its body
+otherwise unchanged.  ``SolverBound``, the
+error it raises, is no longer raised in the package and is defined here.
 """
 
 from fibercomm.covers import (
@@ -12,9 +16,45 @@ from fibercomm.covers import (
     is_invariant,
     solve_conjugacy_system,
 )
-from fibercomm.errors import InfiniteIndex, SolverBound
+from fibercomm.errors import FibercommError, InfiniteIndex
 from fibercomm.record import record
-from fibercomm.words import apply_images, concat, inv
+from fibercomm.words import apply_images, base, concat, free_reduce, inv, is_positive
+
+
+class SolverBound(FibercommError):
+    pass
+
+
+def express_in_basis(H, word, gen_symbols=None):
+    """Rewrite a member word over the subgroup basis.
+
+    Returns a word over ``gen_symbols`` (defaults to ``x0, x1, ...`` in
+    the order of :meth:`basis`).  Raises ValueError for non-members.
+    """
+    gen_index = H._generator_index
+    if gen_symbols is None:
+        gen_symbols = [f"x{i}" for i in range(len(gen_index))]
+    inn = H._in_map
+    out = []
+    state = H.basepoint
+    for letter in free_reduce(word):
+        if is_positive(letter):
+            nxt = H.trans.get((state, letter))
+            edge = (state, letter, nxt)
+            sign = 1
+        else:
+            nxt = inn.get((state, base(letter)))
+            edge = (nxt, base(letter), state)
+            sign = -1
+        if nxt is None:
+            raise ValueError("word leaves the subgroup graph")
+        if edge in gen_index:
+            sym = gen_symbols[gen_index[edge]]
+            out.append(sym if sign > 0 else inv(sym))
+        state = nxt
+    if state != H.basepoint:
+        raise ValueError("word is not a member of the subgroup")
+    return free_reduce(tuple(out))
 
 
 def kernel_of_coset_action(H: SubgroupGraph):
@@ -57,7 +97,7 @@ def restriction_images(images, H: SubgroupGraph, gen_symbols=None):
         gen_symbols = [f"x{i}" for i in range(H.rank())]
     out = {}
     for sym, w in zip(gen_symbols, H.basis()):
-        out[sym] = H.express_in_basis(apply_images(images, w), gen_symbols)
+        out[sym] = express_in_basis(H, apply_images(images, w), gen_symbols)
     return out
 
 
@@ -69,7 +109,7 @@ def _ambient_restriction(psi_on_H, H: SubgroupGraph):
     images = {s: psi_on_H[s] for s in gen_symbols}
 
     def act(word):
-        in_basis = H.express_in_basis(word, gen_symbols)
+        in_basis = express_in_basis(H, word, gen_symbols)
         return apply_images(subst, apply_images(images, in_basis))
 
     return act

@@ -9,8 +9,10 @@ The only edits: ``GraphMap.edge_image``,
 ``MarkedGraph.oriented_edges`` and ``MarkedGraph.edges_at`` became module
 functions taking the map or graph, and the functions call each other by
 their names here.  The helpers these functions call and that did not change
-(``path_src``, ``edge_dst``, ``direction_image``,
-``induced_outer_automorphism`` and ``UnionFind``) come from the package.
+(``path_src``, ``edge_dst``, ``induced_outer_automorphism`` and
+``UnionFind``) come from the package; ``GraphMap.direction_image``, the
+first letter of an edge image, is read as ``edge_image(f, d)[0]`` since
+the package dropped it.
 
 The second part keeps the walkers that each built their own adjacency or
 orbit before the graph's ``edges_at``, its cached root paths and the map's
@@ -244,7 +246,7 @@ def gate_partition(f):
     """Directions at a common vertex identified by eventual Dg-collision."""
     g = f.domain
     dirs = oriented_edges(g)
-    dmap = {d: f.direction_image(d) for d in dirs}
+    dmap = {d: edge_image(f, d)[0] for d in dirs}
     sets = UnionFind()
     images = {d: d for d in dirs}
     for _ in range(2 * len(dirs)):
@@ -278,7 +280,7 @@ def _all_turns(g):
 
 def illegal_turns(f):
     """Turns whose direction-map orbit reaches a degenerate turn."""
-    dmap = {d: f.direction_image(d) for d in f.directions()}
+    dmap = {d: edge_image(f, d)[0] for d in f.directions()}
     result = set()
     for turn in _all_turns(f.domain):
         d1, d2 = tuple(turn) if len(turn) == 2 else (next(iter(turn)),) * 2

@@ -158,6 +158,51 @@ def test_analyze_fib(fixture_dir, tmp_path):
     assert report["index_report"]["index"] == 1
 
 
+# The output of analyze on two disjoint FIB blocks, whose PF root has a
+# plane of eigenvectors, as the Q(lambda) Gaussian solver gave it.
+TWO_FIB_REPORT = {
+    "index_report": {
+        "ageometric": False,
+        "fixed_direction_counts": [6],
+        "index": 4,
+        "nielsen_free_within_bounds": False,
+        "rank": 4,
+    },
+    "input": "two_fib.json",
+    "rank": 4,
+    "rotationless_power": 2,
+    "stretch": {
+        "char_poly": [1, 2, -1, -2, 1],
+        "enclosure": [
+            "6949403065495655250727/4294967296000000000000",
+            "6949403065499950218023/4294967296000000000000",
+        ],
+        "expanding": True,
+        "irreducible": False,
+        "min_poly": [-1, -1, 1],
+    },
+    "toroidality": {"toroidal": True, "witness_power": 2, "witness_word": ["a", "b", "~a", "~b"]},
+    "train_track": {"irreducible": False, "is_train_track": True},
+    "whitehead_graphs": [
+        {
+            "edges": [["a", "~a"], ["a", "~b"], ["c", "~c"], ["c", "~d"]],
+            "nodes": ["a", "c", "~a", "~b", "~c", "~d"],
+            "vertex": "v0",
+        }
+    ],
+}
+
+
+def test_analyze_a_repeated_pf_root(tmp_path):
+    images = {"a": ("a", "b"), "b": ("a",), "c": ("c", "d"), "d": ("c",)}
+    f = GraphMap(rose(("a", "b", "c", "d")), {"v0": "v0"}, images)
+    path = tmp_path / "two_fib.json"
+    path.write_text(json.dumps(map_to_json_dict(f)))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == TWO_FIB_REPORT
+
+
 def test_analyze_dot_format(fixture_dir, tmp_path):
     out = tmp_path / "fib.dot"
     code = main(

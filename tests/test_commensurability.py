@@ -95,7 +95,7 @@ def test_replay_rejects_a_subgroup_phi_moves(parity_subgroup, psi, phi, monkeypa
     # FIB(a) = ab has odd b-exponent sum, so FIB moves the parity subgroup;
     # the membership check must say so before any identification is read
     H = parity_subgroup
-    assert not H.contains(phi.apply(("a",)))
+    assert not H.contains(apply_images(phi.images, ("a",)))
     ident = dict(zip(psi.symbols, H.basis()))
 
     def unreachable(word):
@@ -114,7 +114,7 @@ def test_replay_rejects_a_subgroup_phi_only_conjugates():
     gens = [f"x{i}" for i in range(H.rank())]
     psi = OuterAutomorphism({x: (x,) for x in gens})
     ident = dict(zip(gens, H.basis()))
-    assert all(phi.apply(w) == concat(("b",), w, ("~b",)) for w in ident.values())
+    assert all(apply_images(phi.images, w) == concat(("b",), w, ("~b",)) for w in ident.values())
     assert not replay_witness(CoveringWitness(H, 1, ("b",), ident), psi, phi)
 
 

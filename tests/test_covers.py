@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_oracle
 from action_oracle import image_subgroup
-from extension_oracle import extend_restriction, kernel_of_coset_action, restriction_images
+from extension_oracle import (
+    express_in_basis,
+    extend_restriction,
+    kernel_of_coset_action,
+    restriction_images,
+)
 from fibercomm.covers import (
     SUBGROUP_CAP,
     build_cover,
@@ -99,7 +104,7 @@ def test_express_in_basis_round_trip(parity_subgroup):
     gen_symbols = [f"x{i}" for i in range(len(basis))]
     translate = dict(zip(gen_symbols, basis))
     for w in [("a",), ("b", "b"), ("a", "b", "b", "a"), ("b", "a", "a", "~b")]:
-        expr = H.express_in_basis(w, gen_symbols=gen_symbols)
+        expr = express_in_basis(H, w, gen_symbols=gen_symbols)
         assert free_reduce(apply_images(translate, expr)) == free_reduce(w)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibercomm.errors import NotALoop
+from fibercomm.errors import NotALoop, UnknownEdge
 from fibercomm.graph import (
     MarkedGraph,
     OrientedEdge,
@@ -32,6 +32,15 @@ def test_rose_shape():
     assert g.vertices == ("v0",)
     assert rank(g) == 2
     assert g.basis_symbols() == ("a", "b")
+
+
+def test_a_letter_with_two_tildes_has_no_ends():
+    # edge_dst once read "~~a" as the inverse of "~a", that is as edge a
+    g = rose(("a", "b"))
+    assert (g.edge_src("~a"), g.edge_dst("~a")) == ("v0", "v0")
+    for end in (g.edge_src, g.edge_dst):
+        with pytest.raises(UnknownEdge):
+            end("~~a")
 
 
 def test_theta_rank_and_validation():

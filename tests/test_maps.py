@@ -46,7 +46,6 @@ def test_fib_is_train_track(fib):
     verdict = is_train_track(fib)
     assert verdict.is_train_track
     assert verdict.irreducible
-    assert verdict.witness is None
 
 
 def test_plast_is_train_track(plast):
@@ -64,7 +63,7 @@ def test_foldme_is_train_track_with_expected_illegal_turns(foldme):
 
 def test_gates_are_invariant_under_direction_map(fib):
     gates = gate_partition(fib)
-    dmap = {d: fib.direction_image(d) for d in fib.directions()}
+    dmap = {d: fib.direction_map[d] for d in fib.directions()}
     gate_of = {d: i for i, gate in enumerate(gates) for d in gate}
     for d1 in dmap:
         for d2 in dmap:

@@ -1,12 +1,15 @@
 """What ``src/fibercomm`` holds: code that a CLI command runs, standard
 library imports only, and no import left unused, in ``src`` or in ``tests``.
 
-The reachability walk is by name.  Its roots are every top-level definition
-of ``cli.py`` and every module-level statement that is not a definition or
-an import.  A reached definition reaches every top-level definition, in any
-module, whose name it uses as a name or as an attribute.  What stays
-unreached must be exactly ``ALLOWED``: a new definition that no command
-runs fails the test, and so does a listed one that has gained a caller.
+The reachability walk is by name.  A definition is a top-level definition
+``module.name`` or a method ``module.Class.method``; a class's special
+methods (``__init__``, ``__missing__``, ...) run with the class and belong
+to it.  The roots are every definition of ``cli.py`` and every module-level
+statement that is not a definition or an import.  A reached definition
+reaches every definition, in any module, whose name it uses as a name or
+as an attribute.  What stays unreached must be exactly ``ALLOWED``: a new
+function or method that no command runs fails the test, and so does a
+listed one that has gained a caller.
 """
 
 import ast
@@ -39,6 +42,7 @@ ALLOWED = {
             "normalize_point",
             "stallings_fold",
             "subdivide_map",
+            "FoldSequence.to_json",
         )
     },
     "graph.subdivide": ITEM_6,
@@ -49,6 +53,7 @@ ALLOWED = {
     "commensurability.witness_from_lift": ITEM_9,
     "commensurability.compose_witnesses": ITEM_9,
     "commensurability._equations": ITEM_9,
+    "covers.CoveringMap.identification_words": ITEM_9,
     "maps.map_to_json_dict": ITEM_9 + " (prints the common cover as a map)",
     "graph.graph_to_json_dict": ITEM_9 + " (prints the common cover as a map)",
     "words.format_word": ITEM_9 + " (prints the common cover as a map)",
@@ -72,32 +77,44 @@ def _used_names(node):
             yield n.attr
 
 
+def _is_method(node):
+    return isinstance(node, _DEFINITIONS[:2]) and not node.name.startswith("__")
+
+
 def _unreached():
-    definitions = {}  # "module.name" -> node
+    definitions = {}  # "module.name" or "module.Class.method" -> nodes to walk
     roots = []
     for module, tree in _modules().items():
         for node in tree.body:
-            if isinstance(node, _DEFINITIONS):
-                definitions[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                shell = node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    if _is_method(item):
+                        definitions[f"{module}.{node.name}.{item.name}"] = [item]
+                    else:
+                        shell.append(item)
+                definitions[f"{module}.{node.name}"] = shell
+            elif isinstance(node, _DEFINITIONS):
+                definitions[f"{module}.{node.name}"] = [node]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
-                    definitions[f"{module}.{name}"] = node
+                    definitions[f"{module}.{name}"] = [node]
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
                 roots.append(node)  # a module-level statement, not a docstring
     by_name = {}
     for key in definitions:
-        by_name.setdefault(key.split(".", 1)[1], []).append(key)
+        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
     reached = {key for key in definitions if key.startswith("cli.")}
-    todo = roots + [definitions[key] for key in reached]
+    todo = roots + [node for key in reached for node in definitions[key]]
     while todo:
         for name in _used_names(todo.pop()):
             for key in by_name.get(name, ()):
                 if key not in reached:
                     reached.add(key)
-                    todo.append(definitions[key])
+                    todo.extend(definitions[key])
     return set(definitions) - reached
 
 

@@ -6,11 +6,10 @@ import pytest
 from fibercomm.maps import map_power, transition_matrix
 from fibercomm.spectral import (
     LogRatioVerdict,
-    RootField,
     log_ratio,
     pf_data,
 )
-from spectral_oracle import pf_right_eigenvector
+from spectral_oracle import RootField, pf_right_eigenvector
 
 GOLDEN = 1.6180339887498949  # (1 + sqrt 5)/2, quadratic formula
 PLASTIC = 1.3247179572447460  # real root of x^3 - x - 1, Sturm bisection
@@ -38,7 +37,7 @@ def test_plast_char_poly_and_enclosure(plast):
 def test_pf_eigenvector_is_positive_and_consistent(fib):
     mat = transition_matrix(fib)
     sf, _ = pf_data(mat)
-    field = sf.field()
+    field = RootField(sf.min_poly, sf.enclosure)
     vec = pf_right_eigenvector(mat, field)
     lam = field.root()
     for i in range(len(vec)):

@@ -159,7 +159,7 @@ def brute_force_turns(f):
     for t in f.taken_turns():
         turns.add(t)
         for _ in range(steps):
-            t = frozenset(f.direction_image(d) for d in t)
+            t = frozenset(f.direction_map[d] for d in t)
             if len(t) != 2:
                 break
             turns.add(t)
