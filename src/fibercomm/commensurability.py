@@ -60,9 +60,6 @@ class OuterAutomorphism:
     def rank(self):
         return len(self.images)
 
-    def check(self):
-        return check_automorphism(self.images, self.symbols)
-
     def power(self, k):
         return OuterAutomorphism(
             power_images(self.images, k),

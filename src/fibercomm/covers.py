@@ -345,10 +345,6 @@ class CoveringMap:
     vertex_projection: dict  # total vertex -> base vertex
     edge_projection: dict  # total positive edge -> base positive edge
     subgroup: SubgroupGraph
-    fiber_state: dict  # total vertex -> subgroup-graph state
-
-    def degree(self):
-        return len(self.subgroup.states)
 
     @cached_property
     def _lifts_from(self):
@@ -389,13 +385,11 @@ def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
         raise InfiniteIndex()
     H = H.canonical()
     vertices = []
-    fiber_state = {}
     vertex_projection = {}
     for v in sorted(base_graph.vertices):
         for s in H.states:
             name = f"{v}@{s}"
             vertices.append(name)
-            fiber_state[name] = s
             vertex_projection[name] = v
     edges = {}
     edge_projection = {}
@@ -408,7 +402,7 @@ def build_cover(base_graph: MarkedGraph, H: SubgroupGraph):
             edges[eid] = OrientedEdge(eid, f"{data.src}@{s}", f"{data.dst}@{t}", data.length)
             edge_projection[eid] = e
     total = bfs_marked_graph(vertices, edges)
-    return CoveringMap(total, base_graph, vertex_projection, edge_projection, H, fiber_state)
+    return CoveringMap(total, base_graph, vertex_projection, edge_projection, H)
 
 
 # --- automorphism action on subgroups -----------------------------------

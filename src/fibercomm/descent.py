@@ -13,7 +13,6 @@ module at call time, so a wrapper put on the module attribute
 from . import commensurability, covers, graph, maps, words
 from .commensurability import OuterAutomorphism
 from .covers import CoveringMap, SubgroupGraph
-from .errors import NotRotationless
 from .graph import MarkedGraph, OrientedEdge
 from .maps import GraphMap
 from .record import record
@@ -29,7 +28,7 @@ class QuotientResult:
     certificates: dict
 
 
-def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angles=False):
+def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1):
     """Descend a lift to the base of its covering (dynamical quotient).
 
     p must be a covering of graphs; g is a self-map of p.total and h one of
@@ -45,20 +44,9 @@ def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angle
     orientation and the image of the smallest edge of its fiber.
 
     Returns ("quotient", QuotientResult) with the commutation, injectivity
-    and finite-index certificates, ("symmetric", vertex) when
-    ``strict_angles`` finds a symmetric stable Whitehead graph, or
-    ("not_descendable", reason).
+    and finite-index certificates, or ("not_descendable", reason).
     """
     total = g.domain
-    if strict_angles:
-        from .whitehead import angle_labeling
-
-        try:
-            verdict = angle_labeling(g)
-        except NotRotationless:
-            verdict = ("symmetric", None)
-        if verdict[0] == "symmetric":
-            return ("symmetric", verdict[1])
     gn = maps.map_power(g, n)
     # commutation: p ∘ g^n = h ∘ p edge-by-edge
     for e in total.edges:

@@ -7,13 +7,12 @@ taken turns of the leaf segments saturated under the direction map.
 """
 
 from collections import Counter
-from itertools import permutations
 from math import lcm
 
 from .errors import NotRotationless
 from .graph import rank
 from .maps import GraphMap, find_nielsen_paths
-from .record import factory, record
+from .record import record
 
 
 # --- direction orbits ----------------------------------------------------
@@ -81,7 +80,6 @@ class WhiteheadGraph:
     vertex: str  # the principal vertex this local graph lives at
     nodes: tuple  # periodic directions at the vertex, sorted
     edges: frozenset  # frozensets {d1, d2}
-    angles: dict = factory(dict)  # optional node -> label
 
     def adjacency(self):
         adj = {d: set() for d in self.nodes}
@@ -94,8 +92,7 @@ class WhiteheadGraph:
     def to_dot(self, name="whitehead"):
         lines = [f"graph {name} {{"]
         for d in self.nodes:
-            attrs = f' [angle="{self.angles[d]}"]' if d in self.angles else ""
-            lines.append(f'  "{d}"{attrs};')
+            lines.append(f'  "{d}";')
         for e in sorted(self.edges, key=sorted):
             d1, d2 = sorted(e)
             lines.append(f'  "{d1}" -- "{d2}";')
@@ -172,11 +169,9 @@ def geometric_index(f: GraphMap, nielsen_bounds=(2, 6)):
         counts.append(sum(1 for d in periods if g.edge_src(d) == v and periods[d] == 1))
     total = sum(c - 2 for c in counts if c >= 3)
     r = rank(g)
-    inp_free = True
-    if nielsen_bounds is not None:
-        inp_free = not any(
-            np_.indivisible for np_ in find_nielsen_paths(f, *nielsen_bounds)
-        )
+    inp_free = not any(
+        np_.indivisible for np_ in find_nielsen_paths(f, *nielsen_bounds)
+    )
     return IndexReport(
         fixed_direction_counts=tuple(counts),
         index=total,
@@ -224,70 +219,3 @@ def graph_automorphisms(w: WhiteheadGraph):
 
 def is_asymmetric(w: WhiteheadGraph):
     return len(graph_automorphisms(w)) == 1
-
-
-# --- angle labels --------------------------------------------------------
-
-
-def _canonical_form(nodes, edges):
-    """Canonical labeled form of a small graph: the lexicographically least
-    adjacency encoding over all node orderings."""
-    nodes = list(nodes)
-    best = None
-    best_order = None
-    for perm in permutations(nodes):
-        pos = {d: i for i, d in enumerate(perm)}
-        enc = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in map(sorted, edges)))
-        if best is None or enc < best:
-            best = enc
-            best_order = perm
-    return best, best_order
-
-
-@record
-class AngleLabeling:
-    labels: dict  # direction -> (component id, canonical position)
-    components: tuple  # canonical encodings per component
-
-
-def angle_labeling(f: GraphMap):
-    """Canonical per-direction labels when every stable component is
-    asymmetric; returns None labels with the symmetric offender otherwise.
-
-    Returns ``("labels", AngleLabeling)`` or ``("symmetric", vertex)``.
-    """
-    graphs = stable_whitehead_graphs(f)
-    labels = {}
-    encodings = []
-    for w in graphs:
-        for comp_nodes in _components(w):
-            comp_edges = [e for e in w.edges if set(e) <= set(comp_nodes)]
-            sub = WhiteheadGraph(w.vertex, tuple(sorted(comp_nodes)), frozenset(comp_edges))
-            if len(comp_nodes) > 1 and not is_asymmetric(sub):
-                return ("symmetric", w.vertex)
-            enc, order = _canonical_form(sub.nodes, sub.edges)
-            cid = len(encodings)
-            encodings.append(enc)
-            for pos, d in enumerate(order):
-                labels[d] = (cid, pos)
-    return ("labels", AngleLabeling(labels, tuple(encodings)))
-
-
-def _components(w: WhiteheadGraph):
-    adj = w.adjacency()
-    seen = set()
-    comps = []
-    for d in w.nodes:
-        if d in seen:
-            continue
-        comp = {d}
-        stack = [d]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps

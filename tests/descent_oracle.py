@@ -6,18 +6,18 @@ unchanged as a test oracle.  It closes the fiber equivalence under the map
 on vertices and on directions, checks the classes for consistency, and only
 then names them.  The only edits: ``StabilizationBound``, which the package
 no longer has, is defined here, the function-local imports moved to the
-top, and the quotient is marked by ``bfs_marked_graph``, which replaced the
-private spanning-tree helper it called.  Everything it calls comes from the
-package.
+top, the quotient is marked by ``bfs_marked_graph``, which replaced the
+private spanning-tree helper it called, and the ``strict_angles`` branch,
+which no caller set, is gone with the package's.  Everything it calls comes
+from the package.
 """
 
 from fibercomm.covers import CoveringMap, fold_subgroup_graph
 from fibercomm.descent import QuotientResult
-from fibercomm.errors import FibercommError, NotRotationless
+from fibercomm.errors import FibercommError
 from fibercomm.graph import OrientedEdge, bfs_marked_graph, loop_to_word, rank, word_to_loop
 from fibercomm.maps import GraphMap, apply_map, map_power
 from fibercomm.unionfind import UnionFind
-from fibercomm.whitehead import angle_labeling
 from fibercomm.words import base, free_reduce, inv, is_positive
 
 
@@ -25,24 +25,16 @@ class StabilizationBound(FibercommError):
     pass
 
 
-def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1, strict_angles=False):
+def quotient_descent(g: GraphMap, h: GraphMap, p: CoveringMap, n=1):
     """Descend a lift to a quotient of its graph (dynamical quotient).
 
     Verifies p∘g^n = h∘p, closes the fiber equivalence under the map on
     vertices, directions, and edges, and returns the quotient with an
     induced map and injectivity/finite-index certificates.
 
-    Returns ("quotient", QuotientResult), ("symmetric", vertex), or
-    ("not_descendable", reason).
+    Returns ("quotient", QuotientResult) or ("not_descendable", reason).
     """
     total = g.domain
-    if strict_angles:
-        try:
-            verdict = angle_labeling(g)
-        except NotRotationless:
-            verdict = ("symmetric", None)
-        if verdict[0] == "symmetric":
-            return ("symmetric", verdict[1])
     gn = map_power(g, n)
     # commutation: p ∘ g^n = h ∘ p edge-by-edge
     for e in total.edges:

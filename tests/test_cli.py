@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -324,27 +325,38 @@ def test_minimize(fixture_dir, tmp_path):
     assert report["reductions"][0][0] == "descent"
 
 
-def test_determinism_byte_identical(fixture_dir, tmp_path):
+# SHA-256 of each output below.  A change to src that alters any CLI output
+# fails here, even when two runs of the changed code still agree.
+DIGESTS = {
+    "a1": "c1fe26da24ab095ed0f4103f6cc3f1b97b07b671c5c91e7a14b71d13081ea96a",
+    "a2": "55ad84b23dd95ee7ca766da12014bdbdf559aaadac0de230310f50858e70f3d9",
+    "a3": "9f33735c1395047b5b6dbcbe98987198a13a066108a133d41674ad58c21f4760",
+    "c1": "2be76c0d5b51f4c1fe691523018d6b1f888ab63a1c0e8d6088fbd30f897102e2",
+    "c2": "b52870158c0974599b7106d054d80f10f6a6937ff16a564998f237f252eb4c47",
+    "r1": "ca05df1d6305c7079fcb74034f973ebc7780319018951550f2cc737c15b75369",
+    "m1": "d680d149260bcbb6ca460517cf8060dff61125a5c76e96baac8b78b7cd297f94",
+}
+
+
+def test_determinism_byte_identical(fixture_dir, certificate, tmp_path):
+    fib, lift3 = str(fixture_dir / "FIB.json"), str(fixture_dir / "lift3.json")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(certificate))
     jobs = [
-        (["analyze", str(fixture_dir / "FIB.json")], "a1"),
+        (["analyze", fib], "a1"),
         (["analyze", str(fixture_dir / "PLAST.json"), "--k-max", "6"], "a2"),
-        (["cover", str(fixture_dir / "FIB.json")], "c1"),
-        (
-            [
-                "compare",
-                str(fixture_dir / "lift3.json"),
-                str(fixture_dir / "FIB.json"),
-                "--k-max", "3", "--p-max", "1",
-            ],
-            "c2",
-        ),
-        (["minimize", str(fixture_dir / "lift3.json")], "m1"),
+        (["analyze", fib, "--format", "dot"], "a3"),
+        (["cover", fib], "c1"),
+        (["compare", lift3, fib, "--k-max", "3", "--p-max", "1"], "c2"),
+        (["compare", lift3, fib, "--replay", str(cert)], "r1"),
+        (["minimize", lift3], "m1"),
     ]
     for argv, tag in jobs:
         p1 = tmp_path / f"{tag}-run1.json"
         p2 = tmp_path / f"{tag}-run2.json"
         assert main(argv + ["--out", str(p1)]) == main(argv + ["--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == DIGESTS[tag], tag
 
 
 GUARD = """
@@ -446,11 +458,23 @@ print(code, " ".join(sorted(m for m in sys.modules if m.startswith("fibercomm.")
 
 # command -> (modules it runs, modules it must not load)
 LOADS = {
-    "cover": ({"covers", "spectral"}, {"commensurability", "searches", "whitehead", "descent"}),
-    "compare": ({"commensurability", "spectral"}, {"searches", "whitehead", "descent"}),
-    "replay": ({"commensurability"}, {"spectral", "searches", "whitehead", "descent"}),
-    "analyze": ({"searches", "whitehead", "spectral"}, {"covers", "commensurability", "descent"}),
-    "minimize": ({"descent", "searches"}, set()),
+    "cover": (
+        {"covers", "spectral"},
+        {"commensurability", "searches", "whitehead", "descent", "folds"},
+    ),
+    "compare": (
+        {"commensurability", "spectral"},
+        {"searches", "whitehead", "descent", "folds"},
+    ),
+    "replay": (
+        {"commensurability"},
+        {"spectral", "searches", "whitehead", "descent", "folds"},
+    ),
+    "analyze": (
+        {"searches", "whitehead", "spectral"},
+        {"covers", "commensurability", "descent", "folds"},
+    ),
+    "minimize": ({"descent", "searches"}, {"folds"}),
 }
 
 

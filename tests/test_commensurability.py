@@ -16,6 +16,7 @@ from fibercomm.commensurability import (
 )
 from fibercomm.covers import (
     build_cover,
+    check_automorphism,
     enumerate_subgroups,
     full_group,
     invariant_powers,
@@ -49,7 +50,7 @@ def psi(fib3_lift):
 
 def test_outer_automorphism_basics(phi):
     assert phi.rank == 2
-    assert phi.check()
+    assert check_automorphism(phi.images, phi.symbols)
     assert phi.power(2).images == {"a": ("a", "b", "a"), "b": ("a", "b")}
     sf = phi.stretch_factor()
     assert sf.min_poly == (-1, -1, 1)
@@ -252,34 +253,6 @@ def test_quotient_descent_recovers_base(fib, fib3_lift, double_cover, phi):
         assert conjugate_classes_equal(
             free_reduce(apply_images(translate, img)), cube.images[pairing[s]]
         )
-
-
-def test_quotient_descent_strict_angles(fib, fib3_lift, double_cover):
-    h3 = map_power(fib, 3)
-    status, offender = quotient_descent(
-        fib3_lift, h3, double_cover, 1, strict_angles=True
-    )
-    assert status == "symmetric"
-
-
-def test_quotient_descent_not_rotationless_is_symmetric(fib, fib3_lift, double_cover, monkeypatch):
-    def not_rotationless(f):
-        raise NotRotationless()
-
-    monkeypatch.setattr(whitehead, "angle_labeling", not_rotationless)
-    status, offender = quotient_descent(
-        fib3_lift, map_power(fib, 3), double_cover, 1, strict_angles=True
-    )
-    assert (status, offender) == ("symmetric", None)
-
-
-def test_quotient_descent_propagates_unexpected_angle_errors(fib, fib3_lift, double_cover, monkeypatch):
-    def broken(f):
-        raise RuntimeError("bug in angle_labeling")
-
-    monkeypatch.setattr(whitehead, "angle_labeling", broken)
-    with pytest.raises(RuntimeError, match="bug in angle_labeling"):
-        quotient_descent(fib3_lift, map_power(fib, 3), double_cover, 1, strict_angles=True)
 
 
 def test_quotient_descent_rejects_wrong_base(fib, fib3_lift, double_cover):

@@ -136,7 +136,7 @@ def test_double_cover_shape(double_cover):
     assert sorted(c.total.vertices) == ["v0@0", "v0@1"]
     assert sorted(c.total.edges) == ["a@0", "a@1", "b@0", "b@1"]
     assert rank(c.total) == 3
-    assert c.degree() == 2
+    assert len(c.subgroup.states) == 2
 
 
 def test_euler_scaling_small():

@@ -85,9 +85,7 @@ def reverse_edges(g, p, flipped):
         e: inv(b) if e in flipped else b for e, b in p.edge_projection.items()
     }
     lifted = GraphMap(graph, dict(g.vertex_map), edge_map)
-    cover = CoveringMap(
-        graph, p.base, p.vertex_projection, projection, p.subgroup, p.fiber_state
-    )
+    cover = CoveringMap(graph, p.base, p.vertex_projection, projection, p.subgroup)
     return lifted, cover
 
 
@@ -156,7 +154,6 @@ def test_descent_rejects_unequal_lengths_in_a_fiber(fib, fib3_lift, double_cover
         double_cover.vertex_projection,
         double_cover.edge_projection,
         double_cover.subgroup,
-        double_cover.fiber_state,
     )
     g = GraphMap(graph, fib3_lift.vertex_map, fib3_lift.edge_map)
     h3 = map_power(fib, 3)

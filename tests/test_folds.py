@@ -3,13 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fibercomm.errors import PreconditionFailed
-from fibercomm.folds import (
-    FoldSequence,
-    fold_to_identify,
-    normalize_point,
-    stallings_fold,
-    subdivide_map,
-)
+from fibercomm.folds import stallings_fold, subdivide_map
 from fibercomm.graph import rank
 from fibercomm.maps import is_train_track, transition_matrix
 from fibercomm.spectral import pf_data
@@ -68,44 +62,9 @@ def test_fold_rejects_mismatched_images(fib):
         stallings_fold(fib, "a", "b")
 
 
-def test_normalize_point(fib):
-    g = fib.domain
-    assert normalize_point(g, "v0") == "v0"
-    assert normalize_point(g, ("a", Fraction(0))) == "v0"
-    assert normalize_point(g, ("~a", Fraction(1, 3))) == ("a", Fraction(2, 3))
-
-
 def test_subdivide_map_stays_valid(fib):
     f2, pieces = subdivide_map(fib, ["a"], Fraction(1, 2), 1)
     assert not f2.validate()
     assert len(pieces["a"]) == 2
     assert rank(f2.domain) == 2
 
-
-def test_fold_to_identify_vertices(foldme):
-    seq = fold_to_identify(foldme, "w1", "w2", 3)
-    assert seq is not None
-    assert isinstance(seq, FoldSequence)
-    assert seq.events
-    verdict = is_train_track(seq.result)
-    assert verdict.is_train_track
-    assert "w1" not in seq.result.domain.vertices or "w2" not in seq.result.domain.vertices
-
-
-def test_fold_to_identify_midpoints(foldme):
-    half = Fraction(1, 2)
-    seq = fold_to_identify(foldme, ("e1", half), ("e2", half), 3)
-    assert seq is not None
-    kinds = [type(ev).__name__ for ev in seq.events]
-    assert kinds.count("SubdivisionEvent") == 1
-    assert kinds.count("FoldEvent") == 1
-
-
-def test_fold_to_identify_same_point_trivial(foldme):
-    seq = fold_to_identify(foldme, "u", "u", 2)
-    assert seq is not None and seq.events == []
-
-
-def test_fold_to_identify_unidentifiable(fib):
-    # two interior points of one expanding loop never collide under folding
-    assert fold_to_identify(fib, ("a", Fraction(1, 3)), ("a", Fraction(2, 3)), 2) is None

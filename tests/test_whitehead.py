@@ -9,7 +9,6 @@ from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import free_reduce, inv
 from fibercomm.whitehead import (
     WhiteheadGraph,
-    angle_labeling,
     geometric_index,
     graph_automorphisms,
     is_asymmetric,
@@ -88,12 +87,6 @@ def test_plast_sixth_stable_graph(plast):
     w = graphs[0]
     assert w.nodes == ("a", "b", "c", "~b", "~c")
     assert len(w.edges) == 6
-
-
-def test_angle_labeling_symmetric_for_fib(fib):
-    verdict = angle_labeling(map_power(fib, 2))
-    assert verdict[0] == "symmetric"
-    assert verdict[1] == "v0"
 
 
 def _all_small_graphs(max_nodes):
