@@ -16,7 +16,7 @@ def report(name, f):
     print(f"  train track: {verdict.is_train_track}, irreducible: {verdict.irreducible}")
     sf, _ = pf_data(transition_matrix(f))
     print(f"  char poly (lowest degree first): {sf.char_poly}")
-    print(f"  stretch factor ~ {sf.approx:.12f}  (enclosure width <= 1e-12)")
+    print(f"  stretch factor ~ {float(sum(sf.enclosure) / 2):.12f}  (enclosure width <= 1e-12)")
     k = rotationless_power(f, 12)
     print(f"  rotationless power: {k}")
     idx = geometric_index(map_power(f, k))

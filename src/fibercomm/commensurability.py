@@ -144,12 +144,12 @@ def replay_witness(witness: CoveringWitness, psi: OuterAutomorphism, phi: OuterA
     return sub.key() == H.canonical().key()
 
 
-def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_bound=20):
+def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism):
     """Required power k from stretch factors, when both are known: both
     representatives attached and train tracks.
 
     Returns (True, k or None) — k None means no constraint; (False, None)
-    means the ratio obstruction is exact and negative.
+    means that no k >= 1 has lam_psi = lam_phi^k, an exact negative.
     """
     s_phi = phi.stretch_factor()
     s_psi = psi.stretch_factor()
@@ -159,10 +159,8 @@ def _log_ratio_filter(psi: OuterAutomorphism, phi: OuterAutomorphism, denom_boun
         return True, None
     from .spectral import log_ratio
 
-    verdict = log_ratio(s_phi, s_psi, denom_bound)
-    if not verdict.rational or verdict.ratio.denominator != 1:
-        return False, None
-    return True, int(verdict.ratio)
+    k = log_ratio(s_phi, s_psi)
+    return k is not None, k
 
 
 def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):

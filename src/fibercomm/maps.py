@@ -218,14 +218,14 @@ def is_train_track(f: GraphMap):
 # --- induced outer automorphism ----------------------------------------
 
 
-def induced_outer_automorphism(f: GraphMap, basepoint=None, check=True):
+def induced_outer_automorphism(f: GraphMap, check=True):
     """Images of the marking basis under f, via tree-path conjugation.
 
     The image of a basis loop sigma is closed up with the tree path from
-    the image of the basepoint back to the basepoint.
+    the image of the basepoint, the first vertex, back to the basepoint.
     """
     g = f.domain
-    basepoint = basepoint or g.vertices[0]
+    basepoint = g.vertices[0]
     bp_image = f.vertex_map[basepoint]
     back = g.tree_path(bp_image, basepoint)
     out = g.tree_path(basepoint, bp_image)
@@ -309,7 +309,7 @@ class ToroidalityVerdict:
     witness_power: int = None
 
 
-def is_atoroidal(f: GraphMap, power_bound, length_bound, basepoint=None):
+def is_atoroidal(f: GraphMap, power_bound, length_bound):
     """Bounded search for a conjugacy class fixed by a power of the map.
 
     Classes are compared by cyclic reduction plus rotation; a class and its
@@ -327,7 +327,7 @@ def is_atoroidal(f: GraphMap, power_bound, length_bound, basepoint=None):
     """
     from .searches import _append, _is_rotation, _necklaces, _spelled
 
-    images = _OrientedImages(induced_outer_automorphism(f, basepoint=basepoint, check=False))
+    images = _OrientedImages(induced_outer_automorphism(f, check=False))
     if power_bound < 1:
         return ToroidalityVerdict(False)
     inverse_of = _Inverses()

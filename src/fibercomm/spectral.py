@@ -4,10 +4,9 @@ All certification is integer and rational arithmetic: the characteristic
 polynomial comes from division-free Berkowitz, the Perron-Frobenius root
 is isolated by Sturm sequences, its minimal polynomial is the Zassenhaus
 factor (Berlekamp mod p, Hensel lifting, recombination) vanishing in the
-isolating interval, and power identities between stretch factors are
-decided by Sturm counts on a polynomial gcd.  Floating point only appears
-as a prefilter.  An element of Q(lam) is an integer polynomial in lam
-reduced by lam's monic minimal polynomial (``pf_left_eigenvector``).
+isolating interval.  An element of Q(lam) is an integer polynomial in lam
+reduced by lam's monic minimal polynomial (``pf_left_eigenvector``), and
+lam2 = lam1^k is decided in Q(lam1) (``log_ratio``).
 """
 
 import math
@@ -377,11 +376,6 @@ class StretchFactor:
     enclosure: tuple  # (Fraction lo, Fraction hi), width <= 1e-12
     expanding: bool  # PF root > 1
 
-    @property
-    def approx(self):
-        lo, hi = self.enclosure
-        return float((lo + hi) / 2)
-
 
 def _int_rows(mat):
     return [[int(x) for x in row] for row in mat]
@@ -514,84 +508,32 @@ def _sign(p, sf):
         lo, hi = _narrow(sf.min_poly, lo, hi, (hi - lo) / 2)
 
 
-# --- rationality of log ratios ------------------------------------------
+# --- integer powers between stretch factors ------------------------------
 
 
-@record
-class LogRatioVerdict:
-    rational: bool
-    ratio: Fraction = None  # log(lam2)/log(lam1) = p/q, so lam1^p = lam2^q
+def log_ratio(s1: StretchFactor, s2: StretchFactor):
+    """The k >= 1 with lam2 = lam1^k, or None when there is none.
 
-
-def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):
-    """Bounded certification that log(lam2)/log(lam1) is rational.
-
-    ``Rational(p/q)`` is returned in lowest terms iff ``lam1^p = lam2^q``
-    exactly, certified by ``_algebraic_power_equal``; a float ratio only
-    prefilters candidate pairs.  ``denom_bound`` bounds q only: for each q
-    the one candidate p is the rounded ratio, however large.
+    k runs while lo1^k <= hi2, which ends since lam1 > 1.  Each k whose
+    power range meets lam2's enclosure is decided exactly in Q(lam1):
+    m2(x^k) reduced by m1 (both monic minimal polynomials) is zero iff
+    lam1^k is a real conjugate of lam2.  Such a conjugate is at most lam2,
+    and lam2's enclosure (lo2, hi2] holds no other root of its squarefree
+    characteristic polynomial, nor is lo2 a root; so the conjugate is lam2
+    iff lam1^k >= lo2.  For a rational lam2, lo2 = hi2 = lam2.
     """
     if not (s1.expanding and s2.expanding):
         raise ValueError("log_ratio requires both PF roots > 1 (no expansion)")
-    l1, l2 = s1.approx, s2.approx
-    target = math.log(l2) / math.log(l1)
-    for q in range(1, denom_bound + 1):
-        p = round(q * target)
-        if p < 1:
+    (lo1, hi1), (lo2, hi2), m1 = s1.enclosure, s2.enclosure, s1.min_poly
+    xk, low, high = [1], 1, 1  # x^k reduced by m1, lo1^k, hi1^k
+    for k in count(1):
+        xk, low, high = _divmod_monic([0] + xk, m1)[1], low * lo1, high * hi1
+        if low > hi2:
+            return None
+        if high < lo2:
             continue
-        if math.gcd(p, q) != 1:
-            continue
-        if abs(q * target - p) > 1e-6:
-            continue
-        if _algebraic_power_equal(s1, p, s2, q):
-            return LogRatioVerdict(True, Fraction(p, q))
-    return LogRatioVerdict(False)
-
-
-def _algebraic_power_equal(s1, p, s2, q):
-    """Exact test of lam1^p == lam2^q.
-
-    lam^p is the largest real root of charpoly(C^p), C the companion
-    matrix of lam's (monic) minimal polynomial, since every conjugate of a
-    PF root is at most lam in modulus.  So lam1^p = lam2^q iff both are
-    roots of the gcd of the two characteristic polynomials.
-    """
-    a, b = _power_poly(s1.min_poly, p), _power_poly(s2.min_poly, q)
-    g = _gcd(a, b)
-    return len(g) > 1 and _power_is_root(s1, p, a, g) and _power_is_root(s2, q, b, g)
-
-
-def _power_poly(min_poly, p):
-    """charpoly(C^p): its roots are the p-th powers of those of min_poly."""
-    d = len(min_poly) - 1
-    comp = [[int(i == j + 1) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        comp[i][d - 1] = -min_poly[i]
-    power = [[int(i == j) for j in range(d)] for i in range(d)]
-    while p:
-        if p & 1:
-            power = _mat_mul(power, comp)
-        comp = _mat_mul(comp, comp)
-        p >>= 1
-    return char_poly_coeffs(power)
-
-
-def _mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _power_is_root(sf, p, a, g):
-    """Whether lam^p is a root of ``g``, a divisor of ``a`` whose largest
-    real root is lam^p, by Sturm counts on an interval isolating lam^p."""
-    lo, hi = sf.enclosure
-    if lo == hi:
-        return _sign_at(g, lo**p) == 0
-    chain = _sturm_chain(_squarefree(a))
-    while True:
-        plo, phi = lo**p, hi**p  # lo > 1: powers keep the order
-        if _sign_at(chain[0], plo) and _variations(chain, plo) - _variations(chain, phi) == 1:
-            break
-        lo, hi = _narrow(sf.min_poly, lo, hi, (hi - lo) / 2)
-    chain = _sturm_chain(_squarefree(g))
-    return _variations(chain, plo) - _variations(chain, phi) == 1
+        value = []  # m2(x^k) mod m1, by Horner
+        for c in reversed(s2.min_poly):
+            value = _divmod_monic(_add(_mul(value, xk), [c]), m1)[1]
+        if not value and _sign(_sub([lo2.denominator * c for c in xk], [lo2.numerator]), s1) >= 0:
+            return k

@@ -12,7 +12,9 @@ their names here.  The helpers these functions call and that did not change
 (``path_src``, ``edge_dst``, ``induced_outer_automorphism`` and
 ``UnionFind``) come from the package; ``GraphMap.direction_image``, the
 first letter of an edge image, is read as ``edge_image(f, d)[0]`` since
-the package dropped it.
+the package dropped it, and ``is_atoroidal`` lost its ``basepoint``
+parameter, which no caller set and the package's
+``induced_outer_automorphism`` no longer takes.
 
 The second part keeps the walkers that each built their own adjacency or
 orbit before the graph's ``edges_at``, its cached root paths and the map's
@@ -223,14 +225,14 @@ def _vertex_nielsen_paths(f, period_bound, length_bound):
     return out
 
 
-def is_atoroidal(f, power_bound, length_bound, basepoint=None):
+def is_atoroidal(f, power_bound, length_bound):
     """Bounded search for a conjugacy class fixed by a power of the map.
 
     Classes are compared by cyclic reduction plus rotation; a class and its
     inverse are not identified.  Returns the lexicographically least witness
     in (length, word, power) order.
     """
-    images = induced_outer_automorphism(f, basepoint=basepoint, check=False)
+    images = induced_outer_automorphism(f, check=False)
     symbols = f.domain.basis_symbols()
     powers = [power_images(images, k) for k in range(1, power_bound + 1)]
     for w in enumerate_reduced_words(symbols, length_bound, cyclically_reduced=True):

@@ -5,9 +5,10 @@ Zassenhaus code in ``fibercomm.spectral`` replaced, kept unchanged as a
 test oracle.  The only edits: ``pf_data`` returns the stretch factor and
 the irreducibility flag but no eigenvector, and ``is_irreducible_matrix``
 (from ``fibercomm.maps``) and ``StretchFactor`` (without ``field``) are
-copied here so that nothing in the package is needed.  It also keeps
-``pf_right_eigenvector``, which only the tests use, as the left PF
-eigenvector of the transpose.
+copied here so that nothing in the package is needed, and so is
+``LogRatioVerdict``, which the package's integer ``log_ratio`` no longer
+returns.  It also keeps ``pf_right_eigenvector``, which only the tests
+use, as the left PF eigenvector of the transpose.
 
 The second part keeps the exact field Q(lam) that integer polynomials
 reduced by the minimal polynomial replaced: ``RootField`` with its Fraction
@@ -37,7 +38,6 @@ from fibercomm.maps import GraphMap
 from fibercomm.searches import _common_path_prefix, _legal_continuations
 from fibercomm.spectral import (
     ENCLOSURE_WIDTH,
-    LogRatioVerdict,
     _int_rows,
     _interval_eval,
     _mul,
@@ -143,6 +143,12 @@ def pf_data(mat):
         min_poly = tuple(reversed([int(c) for c in Poly(mp, _x).all_coeffs()]))
     sf = StretchFactor(cp, min_poly, (lo, hi), expanding=lo > 1)
     return sf, is_irreducible_matrix(mat)
+
+
+@dataclass(frozen=True)
+class LogRatioVerdict:
+    rational: bool
+    ratio: Fraction = None  # log(lam2)/log(lam1) = p/q, so lam1^p = lam2^q
 
 
 def log_ratio(s1: StretchFactor, s2: StretchFactor, denom_bound=20):

@@ -156,8 +156,8 @@ def test_non_automorphism_is_still_rejected(psi, phi):
 
 
 def test_power_past_denominator_bound_covers(fib, phi):
-    # log_ratio(phi, phi^21) = 21 lies past denom_bound = 20; it must still
-    # force k = 21 rather than read as an irrational ratio
+    # log_ratio(phi, phi^21) = 21: log_ratio bounds no power, so the
+    # filter forces k = 21 rather than reading the pair as no power
     psi = from_graph_map(map_power(fib, 21))
     witness = covers_relation(psi, phi, k_max=21)
     assert witness is not None and witness.k == 21

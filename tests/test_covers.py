@@ -228,7 +228,7 @@ def test_lift_induces_restriction(fib, fib3_lift, parity_subgroup, double_cover)
     base_images = power_images(induced_outer_automorphism(fib), 3)
     restricted = restriction_images(base_images, parity_subgroup)
     ident = double_cover.identification_words(basepoint="v0@0")
-    lifted_images = induced_outer_automorphism(fib3_lift, basepoint="v0@0")
+    lifted_images = induced_outer_automorphism(fib3_lift)
     # transport the lift's images through the cover identification
     for s, img in lifted_images.items():
         transported = free_reduce(apply_images(ident, img))

@@ -9,9 +9,11 @@ statement that is not a definition or an import.  A reached definition
 reaches every top-level definition, in any module, whose name it uses as a
 name or as an attribute, and every method whose name it uses as an
 attribute (``x.m``): a bare name ``m`` is a local or a parameter, never a
-method.  What stays unreached must be exactly ``ALLOWED``: a new function
-or method that no command runs fails the test, and so does a listed one
-that has gained a caller.
+method.  An attribute of a fibercomm module that the using module imports
+(``graph.rank(g)`` after ``from . import graph``) reaches only that
+module's top-level definition.  What stays unreached must be exactly
+``ALLOWED``: a new function or method that no command runs fails the test,
+and so does a listed one that has gained a caller.
 """
 
 import ast
@@ -57,23 +59,38 @@ def _modules(directory=SRC):
     return {path.stem: ast.parse(path.read_text()) for path in paths}
 
 
-def _used_names(node):
-    """(name, whether it is used as an attribute) for each use in the node."""
+def _module_names(tree, modules):
+    """{bound name: module} for each fibercomm module the tree imports."""
+    return {
+        alias.asname or alias.name: alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module is None
+        for alias in n.names
+        if alias.name in modules
+    }
+
+
+def _used_names(node, module_names):
+    """(name, how it is used) for each use in the node: "name", "attribute",
+    or the module whose attribute it is."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            yield n.id, False
+            yield n.id, "name"
         elif isinstance(n, ast.Attribute):
-            yield n.attr, True
+            receiver = n.value.id if isinstance(n.value, ast.Name) else None
+            yield n.attr, module_names.get(receiver, "attribute")
 
 
 def _is_method(node):
     return isinstance(node, _DEFINITIONS[:2]) and not node.name.startswith("__")
 
 
-def _unreached():
+def _unreached(directory=SRC):
+    modules = _modules(directory)
+    imported = {module: _module_names(tree, modules) for module, tree in modules.items()}
     definitions = {}  # "module.name" or "module.Class.method" -> nodes to walk
     roots = []
-    for module, tree in _modules().items():
+    for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 shell = node.decorator_list + node.bases + node.keywords
@@ -92,21 +109,27 @@ def _unreached():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
-                roots.append(node)  # a module-level statement, not a docstring
-    by_name = {}  # (name, used as an attribute) -> definitions it reaches
+                roots.append((module, node))  # a module-level statement, not a docstring
+    by_use = {}  # (name, how it is used) -> definitions it reaches
     for key in definitions:
-        name = key.rsplit(".", 1)[1]
-        by_name.setdefault((name, True), []).append(key)
+        module, name = key.split(".", 1)[0], key.rsplit(".", 1)[1]
+        by_use.setdefault((name, "attribute"), []).append(key)
         if key.count(".") == 1:  # not a method
-            by_name.setdefault((name, False), []).append(key)
+            by_use.setdefault((name, "name"), []).append(key)
+            by_use.setdefault((name, module), []).append(key)
+
+    def walk(key):
+        return [(key.split(".", 1)[0], node) for node in definitions[key]]
+
     reached = {key for key in definitions if key.startswith("cli.")}
-    todo = roots + [node for key in reached for node in definitions[key]]
+    todo = roots + [item for key in reached for item in walk(key)]
     while todo:
-        for use in _used_names(todo.pop()):
-            for key in by_name.get(use, ()):
+        module, node = todo.pop()
+        for use in _used_names(node, imported[module]):
+            for key in by_use.get(use, ()):
                 if key not in reached:
                     reached.add(key)
-                    todo.extend(definitions[key])
+                    todo.extend(walk(key))
     return set(definitions) - reached
 
 
@@ -114,6 +137,17 @@ def test_every_definition_serves_a_command_or_a_listed_roadmap_item():
     unreached = _unreached()
     assert sorted(unreached - set(ALLOWED)) == [], "no CLI command reaches these"
     assert sorted(set(ALLOWED) - unreached) == [], "reached now: drop them from ALLOWED"
+
+
+def test_a_module_attribute_reaches_no_method(tmp_path):
+    """``graph.rank(...)`` reaches the module's ``rank``, not ``C.rank``."""
+    (tmp_path / "cli.py").write_text(
+        "from . import graph\n\n\ndef main(g):\n    return graph.rank(graph.C())\n"
+    )
+    (tmp_path / "graph.py").write_text(
+        "def rank(g):\n    return 0\n\n\nclass C:\n    def rank(self):\n        return 1\n"
+    )
+    assert _unreached(tmp_path) == {"graph.C.rank"}
 
 
 def _imports(tree):

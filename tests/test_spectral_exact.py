@@ -1,5 +1,5 @@
 """Differential tests: the pure-Python spectral layer (Berkowitz, Sturm,
-Zassenhaus, gcd-based power identities) against the sympy and numpy
+Zassenhaus, integer powers decided in Q(lam)) against the sympy and numpy
 implementation it replaced (``spectral_oracle``)."""
 
 from fractions import Fraction
@@ -145,7 +145,7 @@ def test_enclosure_shrinks_to_isolate_close_roots():
     slo, shi = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
     assert poly.count_roots(slo, shi) == 1
     assert bool(slo < max(sympy.real_roots(poly)) < shi)
-    assert spectral.log_ratio(sf, sf).ratio == 1
+    assert spectral.log_ratio(sf, sf) == 1
 
 
 # --- log ratios ------------------------------------------------------------
@@ -180,15 +180,23 @@ def oracle(fn, *args):
 
 
 def verdicts(pairs_a, pairs_b):
-    """New and oracle log_ratio verdicts over all pairs (None where the
-    oracle fails)."""
+    """New log_ratio answers and oracle verdicts over all pairs (None where
+    the oracle fails)."""
     new = [spectral.log_ratio(a, b) for a, _ in pairs_a for b, _ in pairs_b]
     ref = [oracle(old.log_ratio, a, b) for _, a in pairs_a for _, b in pairs_b]
     return new, ref
 
 
+def integer_ratio(verdict):
+    """The oracle's ratio where it is an integer, else None."""
+    if verdict.rational and verdict.ratio.denominator == 1:
+        return verdict.ratio.numerator
+    return None
+
+
 def assert_same_verdicts(new, ref):
-    assert [n for n, r in zip(new, ref) if r is not None] == [r for r in ref if r is not None]
+    answered = [(n, r) for n, r in zip(new, ref) if r is not None]
+    assert [n for n, _ in answered] == [integer_ratio(r) for _, r in answered]
     assert ref.count(None) <= len(ref) // 50
 
 
@@ -196,8 +204,8 @@ def assert_same_verdicts(new, ref):
 def test_log_ratio_matches_oracle_on_powers(powers, name):
     new, ref = verdicts(powers[name], powers[name])
     assert_same_verdicts(new, ref)
-    # log(lam^q)/log(lam^p) = q/p, and both stay within the denominator bound
-    exact = [spectral.LogRatioVerdict(True, Fraction(q, p)) for p in range(1, 21) for q in range(1, 21)]
+    # lam^q = (lam^p)^k iff q = k p
+    exact = [q // p if q % p == 0 else None for p in range(1, 21) for q in range(1, 21)]
     assert new == exact
 
 
@@ -211,19 +219,30 @@ def test_log_ratio_matches_oracle_on_lifts(lifts, powers, name):
 
 @pytest.mark.parametrize("first, second", ((FIB, B5), (FIB, PLAST), (B5, B5)))
 def test_power_identities_match_oracle(first, second):
-    """lam1^p == lam2^q for every p, q <= 20, decided with no float prefilter."""
+    """lam2 == lam1^k for every k <= 20, decided with no float prefilter."""
     (s1, r1), = stretch_pairs([transition_matrix(rose_map(first))])
     (s2, r2), = stretch_pairs([transition_matrix(map_power(rose_map(second), 2))])
-    for p in range(1, 21):
-        for q in range(1, 21):
-            expected = oracle(old._algebraic_power_equal, r1, p, r2, q)
-            if expected is not None:
-                assert spectral._algebraic_power_equal(s1, p, s2, q) == expected, (p, q)
+    k_new = spectral.log_ratio(s1, s2)
+    for k in range(1, 21):
+        expected = oracle(old._algebraic_power_equal, r1, k, r2, 1)
+        if expected is not None:
+            assert (k_new == k) == expected, k
 
 
 def test_power_identity_with_rational_root():
     two = spectral.pf_data([[2]])[0]
     four = spectral.pf_data(block_diagonal([[4]], [[1, 1], [1, 0]]))[0]
     assert two.enclosure == (2, 2) and four.enclosure == (4, 4)
-    assert spectral.log_ratio(two, four).ratio == 2
-    assert spectral.log_ratio(four, two).ratio == Fraction(1, 2)
+    assert spectral.log_ratio(two, four) == 2
+    # 2 = 4^(1/2): no integer power
+    assert spectral.log_ratio(four, two) is None
+
+
+def test_power_identity_from_irrational_to_rational_root():
+    """sqrt 2 squared is 2: lam1^k is rational though lam1 is not."""
+    root2 = spectral.pf_data([[0, 2], [1, 0]])[0]
+    two, four = spectral.pf_data([[2]])[0], spectral.pf_data([[4]])[0]
+    assert root2.min_poly == (-2, 0, 1)
+    assert spectral.log_ratio(root2, two) == 2
+    assert spectral.log_ratio(root2, four) == 4
+    assert spectral.log_ratio(two, root2) is None
