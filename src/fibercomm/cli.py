@@ -14,6 +14,8 @@ import tempfile
 
 from .errors import (
     FibercommError,
+    NotAnAutomorphism,
+    NotHomotopyEquivalence,
     NotRotationless,
     ResourceBound,
 )
@@ -147,6 +149,11 @@ def _cmd_validate(args):
             f = map_from_json_dict(d)
             report["kind"] = "map"
             report["problems"] = validate_graph(f.domain) + f.validate()
+            if not report["problems"]:
+                try:
+                    induced_outer_automorphism(f)
+                except NotHomotopyEquivalence as exc:
+                    report["problems"] = [str(exc)]
         else:
             g = graph_from_json_dict(d)
             report["kind"] = "graph"
@@ -163,6 +170,13 @@ def _cmd_analyze(args):
     from .whitehead import geometric_index, rotationless_power, stable_whitehead_graphs
 
     f = _load_map(args.input)
+    k = rotationless_power(f, args.k_max)
+    if args.format == "dot":
+        if k is None:
+            raise ResourceBound(f"no rotationless power <= --k-max {args.k_max}")
+        graphs = stable_whitehead_graphs(map_power(f, k))
+        _emit("\n".join(w.to_dot(f"whitehead_{i}") for i, w in enumerate(graphs)), args.out)
+        return EXIT_OK
     report = {"input": os.path.basename(args.input), "rank": rank(f.domain)}
     report["stretch"] = _stretch_dict(f)
     verdict = is_train_track(f)
@@ -170,7 +184,6 @@ def _cmd_analyze(args):
         "is_train_track": verdict.is_train_track,
         "irreducible": verdict.irreducible,
     }
-    k = rotationless_power(f, args.k_max)
     report["rotationless_power"] = k
     if k is not None:
         fr = map_power(f, k)
@@ -182,17 +195,13 @@ def _cmd_analyze(args):
             "ageometric": idx.ageometric,
             "nielsen_free_within_bounds": idx.nielsen_free_within_bounds,
         }
-        graphs = stable_whitehead_graphs(fr)
-        if args.format == "dot":
-            _emit("\n".join(w.to_dot(f"whitehead_{i}") for i, w in enumerate(graphs)), args.out)
-            return EXIT_OK
         report["whitehead_graphs"] = [
             {
                 "vertex": w.vertex,
                 "nodes": list(w.nodes),
                 "edges": sorted(sorted(e) for e in w.edges),
             }
-            for w in graphs
+            for w in stable_whitehead_graphs(fr)
         ]
     tor = is_atoroidal(f, args.p_max, args.length_bound)
     report["toroidality"] = {
@@ -344,6 +353,9 @@ def main(argv=None):
         return EXIT_RESOURCE
     except NotRotationless:
         print("error: map is not rotationless at these bounds", file=sys.stderr)
+        return EXIT_INPUT
+    except (NotHomotopyEquivalence, NotAnAutomorphism):
+        print("error: map does not induce an automorphism of the free group", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -37,10 +37,6 @@ class ResourceBound(FibercommError):
     pass
 
 
-class PreconditionFailed(FibercommError):
-    pass
-
-
 class NotRotationless(FibercommError):
     pass
 

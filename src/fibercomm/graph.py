@@ -252,43 +252,6 @@ def rose(symbols, vertex="v0", lengths=None):
     return MarkedGraph((vertex,), edges)
 
 
-def subdivide(g: MarkedGraph, e, n_parts=None, new_vertex_prefix=None):
-    """Split positive edge ``e`` into ``n_parts`` equal-length pieces.
-
-    Returns ``(graph, piece_ids)`` where ``piece_ids`` traverse e in order.
-    The pieces join the spanning tree except the last one when ``e`` was a
-    non-tree edge (keeping the marking basis intact).
-    """
-    data = g.edges[e]
-    n = n_parts or 2
-    prefix = new_vertex_prefix or f"{e}."
-    piece_len = data.length / n
-    vertices = list(g.vertices)
-    new_vs = [f"{prefix}v{i}" for i in range(1, n)]
-    vertices.extend(new_vs)
-    chain = [data.src] + new_vs + [data.dst]
-    edges = dict(g.edges)
-    del edges[e]
-    piece_ids = []
-    for i in range(n):
-        pid = f"{e}.{i}"
-        piece_ids.append(pid)
-        edges[pid] = OrientedEdge(pid, chain[i], chain[i + 1], piece_len)
-    tree = set(g.spanning_tree)
-    labels = dict(g.basis_labels)
-    if e in tree:
-        tree.discard(e)
-        tree.update(piece_ids)
-    else:
-        symbol = labels.pop(e)
-        tree.update(piece_ids[:-1])
-        labels[piece_ids[-1]] = symbol
-    return (
-        MarkedGraph(tuple(vertices), edges, frozenset(tree), labels),
-        piece_ids,
-    )
-
-
 # --- JSON interchange ---------------------------------------------------
 
 

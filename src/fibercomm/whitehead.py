@@ -40,16 +40,6 @@ def _principal(f: GraphMap):
     return periods, sorted(v for v in f.domain.vertices if count[v] >= 3)
 
 
-def principal_vertices(f: GraphMap):
-    """Vertices with >= 3 periodic directions.
-
-    Returns ``(vertices, suspicious)``; the flag is set when no principal
-    vertex is found at all (at least one must exist).
-    """
-    _, verts = _principal(f)
-    return verts, not verts
-
-
 def rotationless_power(f: GraphMap, k_max):
     """Least k <= k_max making every principal vertex and periodic direction
     there fixed; None when lcm of the periods exceeds the bound."""

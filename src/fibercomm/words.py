@@ -5,8 +5,6 @@ and ``"~a"`` is its inverse; the same convention is used for oriented edges
 elsewhere, so paths and words share all the reduction machinery here.
 """
 
-Word = tuple  # tuple of oriented letters
-
 
 def inv(letter):
     """Inverse of a single oriented letter."""

@@ -24,7 +24,6 @@ from fibercomm.covers import (
     lift_map,
     lift_path,
 )
-from fibercomm.folds import stallings_fold
 from fibercomm.graph import loop_to_word, rank, rose, word_to_loop
 from fibercomm.maps import (
     induced_outer_automorphism,
@@ -37,7 +36,6 @@ from fibercomm.whitehead import (
     WhiteheadGraph,
     geometric_index,
     graph_automorphisms,
-    principal_vertices,
     stable_whitehead_graphs,
 )
 from fibercomm.words import (
@@ -129,32 +127,6 @@ def test_criterion_06_euler_scaling():
             for H in enumerate_subgroups(r, m):
                 cover = build_cover(g, H)
                 assert rank(cover.total) - 1 == m * (rank(g) - 1)
-
-
-def test_criterion_07_fold_suite(foldme):
-    from fibercomm.words import base, free_reduce, inv, is_positive
-
-    folded, event = stallings_fold(foldme, "e1", "e2")
-
-    def push(path):
-        out = []
-        for d in path:
-            q = event.quotient[base(d)]
-            out.append(q if is_positive(d) else inv(q))
-        return free_reduce(tuple(out))
-
-    for e in foldme.domain.edges:
-        assert push(foldme.edge_image(e)) == folded.edge_image(event.quotient[e])
-    before, _ = pf_data(transition_matrix(foldme))
-    after, _ = pf_data(transition_matrix(folded))
-    assert max(before.enclosure[0], after.enclosure[0]) <= min(
-        before.enclosure[1], after.enclosure[1]
-    )
-    pv_before, _ = principal_vertices(foldme)
-    pv_after, _ = principal_vertices(folded)
-    mapped = sorted({event.vertex_quotient[v] for v in pv_before})
-    assert mapped == sorted(pv_after)
-    assert len(pv_before) == len(mapped)
 
 
 def test_criterion_08_toroidality_transfer(fib, double_cover, fib3_lift):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -213,6 +214,56 @@ def test_analyze_dot_format(fixture_dir, tmp_path):
     assert out.read_text().startswith("graph whitehead_0 {")
 
 
+@pytest.mark.parametrize(
+    "name,bounds",
+    [pytest.param("PLAST", [], id="PLAST"), pytest.param("FIB", ["--k-max", "1"], id="FIB-k-max-1")],
+)
+def test_analyze_dot_without_a_rotationless_power_exits_3(fixture_dir, tmp_path, capsys, name, bounds):
+    """PLAST's rotationless power is 6 and FIB's is 2: past --k-max there
+    are no Whitehead graphs to draw."""
+    out = tmp_path / "whitehead.dot"
+    argv = ["analyze", str(fixture_dir / f"{name}.json"), "--format", "dot", *bounds]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource bound: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.fixture
+def ab_ba(tmp_path):
+    """{a -> ab, b -> ba}: a graph map whose basis images generate a proper subgroup."""
+    f = GraphMap(rose(("a", "b")), {"v0": "v0"}, {"a": ("a", "b"), "b": ("b", "a")})
+    path = tmp_path / "ab_ba.json"
+    path.write_text(json.dumps(map_to_json_dict(f)))
+    return str(path)
+
+
+def test_validate_reports_a_map_that_is_not_a_homotopy_equivalence(ab_ba, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["validate", ab_ba, "--out", str(out)]) == 2
+    assert json.loads(out.read_text()) == {
+        "input": "ab_ba.json",
+        "kind": "map",
+        "problems": ["basis images do not generate the full group"],
+        "valid": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cover", "ab_ba"], ["minimize", "ab_ba"], ["compare", "ab_ba", "FIB"], ["compare", "FIB", "ab_ba"]],
+    ids=["cover", "minimize", "compare-input", "compare-other"],
+)
+def test_a_map_that_is_not_a_homotopy_equivalence_exits_2(fixture_dir, ab_ba, tmp_path, capsys, argv):
+    paths = {"ab_ba": ab_ba, "FIB": str(fixture_dir / "FIB.json")}
+    out = tmp_path / "out.json"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cover_enumeration(fixture_dir, tmp_path):
     out = tmp_path / "covers.json"
     code = main(
@@ -362,9 +413,9 @@ def test_determinism_byte_identical(fixture_dir, certificate, tmp_path):
 GUARD = """
 import sys
 import fibercomm.cli
-for module in ("spectral", "whitehead", "covers", "commensurability", "folds"):
+fixtures, out, *modules = sys.argv[1:]
+for module in modules:
     __import__("fibercomm." + module)
-fixtures, out = sys.argv[1], sys.argv[2]
 jobs = (
     ["analyze", fixtures + "FIB.json"],
     ["cover", fixtures + "FIB.json"],
@@ -379,12 +430,15 @@ print(" ".join(sorted(m for m in ("sympy", "numpy", "dataclasses", "inspect") if
 
 @pytest.fixture(scope="module")
 def cli_process_modules(fixture_dir, tmp_path_factory):
-    """The guarded modules a CLI process has loaded after every subcommand ran."""
+    """The guarded modules a CLI process has loaded after it imported every
+    fibercomm module and every subcommand ran.  ``pkgutil`` lists the modules
+    here: it imports ``inspect`` itself."""
+    modules = [m.name for m in pkgutil.iter_modules(fibercomm.__path__)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibercomm.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path_factory.mktemp("guard") / "out-"
     run = subprocess.run(
-        [sys.executable, "-c", GUARD, str(fixture_dir) + os.sep, str(out)],
+        [sys.executable, "-c", GUARD, str(fixture_dir) + os.sep, str(out), *modules],
         env=env, capture_output=True, text=True, check=True,
     )
     return set(run.stdout.split())
@@ -460,21 +514,21 @@ print(code, " ".join(sorted(m for m in sys.modules if m.startswith("fibercomm.")
 LOADS = {
     "cover": (
         {"covers", "spectral"},
-        {"commensurability", "searches", "whitehead", "descent", "folds"},
+        {"commensurability", "searches", "whitehead", "descent"},
     ),
     "compare": (
         {"commensurability", "spectral"},
-        {"searches", "whitehead", "descent", "folds"},
+        {"searches", "whitehead", "descent"},
     ),
     "replay": (
         {"commensurability"},
-        {"spectral", "searches", "whitehead", "descent", "folds"},
+        {"spectral", "searches", "whitehead", "descent"},
     ),
     "analyze": (
         {"searches", "whitehead", "spectral"},
-        {"covers", "commensurability", "descent", "folds"},
+        {"covers", "commensurability", "descent"},
     ),
-    "minimize": ({"descent", "searches"}, {"folds"}),
+    "minimize": ({"descent", "searches"}, set()),
 }
 
 

@@ -12,7 +12,6 @@ from fibercomm.graph import (
     loop_to_word,
     rank,
     rose,
-    subdivide,
     validate_graph,
     word_to_loop,
 )
@@ -92,15 +91,6 @@ def test_loop_to_word_rejects_non_loop():
     g = theta_graph()
     with pytest.raises(NotALoop):
         loop_to_word(g, ("p",), "u")
-
-
-def test_subdivide_preserves_rank_and_length():
-    g = rose(("a", "b"))
-    g2, pieces = subdivide(g, "a", 2)
-    assert rank(g2) == 2
-    assert len(pieces) == 2
-    total = sum(g2.edge_length(e) for e in pieces)
-    assert total == g.edge_length("a")
 
 
 def test_json_round_trip():

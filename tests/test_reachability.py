@@ -23,18 +23,10 @@ import sys
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fibercomm"
 
-ITEM_6 = "ROADMAP item 6: train-track representatives fold and subdivide"
 ITEM_7 = "ROADMAP item 7: the whitehead_asymmetric verdict"
 ITEM_9 = "ROADMAP item 9: the commensurable command and its certificate"
 
 ALLOWED = {
-    **{
-        f"folds.{name}": ITEM_6
-        for name in ("FoldEvent", "_quotient_letter", "stallings_fold", "subdivide_map")
-    },
-    "graph.subdivide": ITEM_6,
-    "whitehead.principal_vertices": ITEM_6,
-    "errors.PreconditionFailed": ITEM_6 + " (raised by folds.stallings_fold)",
     "whitehead.graph_automorphisms": ITEM_7,
     "whitehead.is_asymmetric": ITEM_7,
     "whitehead.WhiteheadGraph.adjacency": ITEM_7,
@@ -47,7 +39,6 @@ ALLOWED = {
     "maps.map_to_json_dict": ITEM_9 + " (prints the common cover as a map)",
     "graph.graph_to_json_dict": ITEM_9 + " (prints the common cover as a map)",
     "words.format_word": ITEM_9 + " (prints the common cover as a map)",
-    "words.Word": "documents the word type",
     "__init__.__version__": "package metadata",
 }
 

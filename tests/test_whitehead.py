@@ -9,11 +9,11 @@ from fibercomm.maps import GraphMap, map_power
 from fibercomm.words import free_reduce, inv
 from fibercomm.whitehead import (
     WhiteheadGraph,
+    _principal,
     geometric_index,
     graph_automorphisms,
     is_asymmetric,
     periodic_directions,
-    principal_vertices,
     rotationless_power,
     saturated_turns,
     stable_whitehead_graphs,
@@ -27,9 +27,7 @@ def test_fib_periodic_directions(fib):
 
 
 def test_fib_principal_vertex(fib):
-    verts, suspicious = principal_vertices(fib)
-    assert verts == ["v0"]
-    assert not suspicious
+    assert _principal(fib)[1] == ["v0"]
 
 
 def test_rotationless_powers(fib, plast):
