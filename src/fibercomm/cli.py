@@ -109,8 +109,9 @@ def _emit(text, out_path):
     exclusively under a name holding the process id (so two runs never
     share one) with mode 0o666 less the umask, is renamed over it.  Any
     other file there, a device or a pipe such as /dev/null or /dev/stdout,
-    is written through and never replaced.  A path that cannot be written
-    is an input error.
+    is written through and never replaced.  A symbolic link to a regular
+    file is kept, and its target is replaced.  A path that cannot be
+    written is an input error.
     """
     if not text.endswith("\n"):
         text += "\n"
@@ -122,13 +123,15 @@ def _emit(text, out_path):
             with open(out_path, "w") as fh:
                 fh.write(text)
             return
-        directory = os.path.dirname(os.path.abspath(out_path))
+        # resolved only here: /dev/stdout links to "pipe:[N]", which is no path
+        target = os.path.realpath(out_path)
+        directory = os.path.dirname(target)
         tmp = os.path.join(directory, f".fibercomm-{os.getpid()}-{os.urandom(4).hex()}")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, out_path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -31,11 +31,9 @@ from .maps import (
 from .record import record
 from .words import (
     _cyclic_start,
-    _Inverses,
     _OrientedImages,
     _substitute,
     apply_images,
-    compose_images,
     concat,
     free_reduce,
     inv,
@@ -178,8 +176,8 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         subgroups = [full_group(phi.symbols)]
     else:
         subgroups = enumerate_subgroups(phi.rank, m, symbols=phi.symbols)
-    # powers[i] is Phi^(i+1) as an oriented-image table, extended as k grows
-    powers = [_OrientedImages(phi.images)]
+    # one power table of Phi, its levels built as k grows
+    table = _OrientedImages(phi.images)
     for H, k0 in zip(subgroups, invariant_powers(phi.images, subgroups, k_max)):
         if k0 is None:
             continue
@@ -190,9 +188,7 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
         for k in range(k0, k_max + 1, k0):
             if forced_k is not None and k != forced_k:
                 continue
-            while len(powers) < k:
-                powers.append(_OrientedImages(compose_images(phi.images, powers[-1].images)))
-            phik = powers[k - 1]
+            phik = table.power(k)
             for j, ident in enumerate(idents):
                 if targets[j] is None:
                     rhs = [apply_images(ident, psi.images[s]) for s in psi.symbols]
@@ -210,7 +206,7 @@ def covers_relation(psi: OuterAutomorphism, phi: OuterAutomorphism, k_max):
 
 def _core_length(word):
     """Length of the cyclic core of a reduced word."""
-    return len(word) - 2 * _cyclic_start(word, _Inverses())
+    return len(word) - 2 * _cyclic_start(word)
 
 
 def _identifications(psi, H: SubgroupGraph, m):

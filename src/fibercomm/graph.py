@@ -294,7 +294,11 @@ def graph_from_json_dict(d):
         e, src, dst = _names([ed["id"], ed["from"], ed["to"]], "edge ids and ends must be strings")
         length = ed.get("length", "1")
         check_json(length, (str, int, float), f"length of edge {e} must be a string or a number")
-        edges[e] = OrientedEdge(e, src, dst, Fraction(length))
+        try:
+            length = Fraction(length)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"length of edge {e} must be finite") from None
+        edges[e] = OrientedEdge(e, src, dst, length)
     message = "graph basis must map edges to symbols"
     basis = check_json(d.get("basis", {}), dict, message)
     _names(list(basis.values()), message)

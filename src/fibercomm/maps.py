@@ -14,16 +14,7 @@ from itertools import combinations
 from .errors import NonIncidentEdges, NotHomotopyEquivalence, UnknownEdge
 from .graph import MarkedGraph, loop_to_word, word_to_loop
 from .record import record
-from .words import (
-    _cyclic_start,
-    _Inverses,
-    _OrientedImages,
-    _tighten,
-    base,
-    free_reduce,
-    inv,
-    inverse,
-)
+from .words import _cyclic_start, _OrientedImages, _substitute, base, free_reduce, inv, inverse
 
 
 class _EdgeImages(_OrientedImages):
@@ -46,12 +37,9 @@ class GraphMap:
 
     @cached_property
     def _images(self):
-        """Images of both orientations of every edge, each built once per map."""
+        """Images of both orientations of every edge, each built once per
+        map; ``_images.power(p)`` is the one table of f^p_# per map."""
         return _EdgeImages(self.edge_map)
-
-    @cached_property
-    def _inverses(self):
-        return _Inverses()
 
     def edge_image(self, e):
         return self._images[e]
@@ -101,29 +89,19 @@ class GraphMap:
         return turns
 
 
-def identity_map(g: MarkedGraph):
-    return GraphMap(g, {v: v for v in g.vertices}, {e: (e,) for e in g.edges})
-
-
 def apply_map(f: GraphMap, path):
     """Tightened image g(p)_#."""
-    return _tighten(map(f._images.__getitem__, path), f._inverses)
-
-
-def compose(f: GraphMap, g: GraphMap):
-    """The map f after g (both self-maps of the same graph)."""
-    return GraphMap(
-        g.domain,
-        {v: f.vertex_map[g.vertex_map[v]] for v in g.domain.vertices},
-        {e: apply_map(f, g.edge_map[e]) for e in g.domain.edges},
-    )
+    return _substitute(f._images, path)
 
 
 def map_power(f: GraphMap, n):
-    result = identity_map(f.domain)
+    """f^n, its edge images read from the power table of f (``_images``)."""
+    g = f.domain
+    vertex_map = {v: v for v in g.vertices}
     for _ in range(n):
-        result = compose(f, result)
-    return result
+        vertex_map = {v: f.vertex_map[w] for v, w in vertex_map.items()}
+    images = f._images.power(n) if n > 0 else {e: (e,) for e in g.edges}
+    return GraphMap(g, vertex_map, {e: images[e] for e in g.edges})
 
 
 def orbit_order(g: MarkedGraph):
@@ -317,20 +295,19 @@ def is_atoroidal(f: GraphMap, power_bound, length_bound):
     its class, and the witness word and power are those of the search over
     every cyclically reduced word.  Each word carries its images phi, ...,
     phi^P on one persistent tightening stack per power, and one more
-    letter x pushes phi^k(x) from the table of ``searches._powers`` onto
-    each, reading only the letters that cancel.
+    letter x pushes phi^k(x) from the power table of the basis images
+    onto each, reading only the letters that cancel.
     """
-    from .searches import _ROOT, _is_rotation, _necklaces, _powers, _push, _spelled
+    from .searches import _ROOT, _is_rotation, _necklaces, _push, _spelled
 
     images = _OrientedImages(induced_outer_automorphism(f, check=False))
     if power_bound < 1:
         return ToroidalityVerdict(False)
-    inverse_of = _Inverses()
     symbols = f.domain.basis_symbols()
-    powers = _powers(images, [x for s in symbols for x in (s, inv(s))], power_bound, inverse_of)
+    powers = [images.power(p) for p in range(1, power_bound + 1)]
 
     def grow(tops, x):
-        return [_push(top, level[x], inverse_of) for top, level in zip(tops, powers)]
+        return [_push(top, level[x]) for top, level in zip(tops, powers)]
 
     for n in range(1, length_bound + 1):
         for w, tops in _necklaces(symbols, n, grow, [_ROOT] * power_bound):
@@ -339,7 +316,7 @@ def is_atoroidal(f: GraphMap, power_bound, length_bound):
                 if excess >= 0 and not excess % 2:
                     img = _spelled(top)
                     i = excess // 2
-                    if _cyclic_start(img, inverse_of) == i and _is_rotation(img[i : i + n], w):
+                    if _cyclic_start(img) == i and _is_rotation(img[i : i + n], w):
                         return ToroidalityVerdict(True, w, k)
     return ToroidalityVerdict(False)
 

@@ -6,12 +6,14 @@ and grows two legal legs at an illegal turn with
 ``_necklaces``.  Both keep the tightened image of each prefix under each
 power p on its own persistent stack: f^p_#(sigma d) is the tightened
 product f^p_#(sigma) f^p_#(d), so one more letter d pushes f^p_#(d) from
-the table of ``_powers`` and reads only the letters that cancel.  The legs
-of the interior search read their images from the same table.  The entry
-points stay in ``maps`` and import this module when called, so a command
-that runs no search does not load it.  Functions of ``maps`` are looked up
-on the module at call time, so a wrapper put on the module attribute
-(``perfbench/tracing.py``) sees these calls too.
+the power table ``_OrientedImages.power(p)`` and reads only the letters
+that cancel.  The table is cached on the map (``GraphMap._images``), so
+the vertex search, the legs of the interior search and ``map_power`` read
+one table of each f^p_# per map.  The entry points stay in ``maps`` and
+import this module when called, so a command that runs no search does not
+load it.  Functions of ``maps`` are looked up on the module at call time,
+so a wrapper put on the module attribute (``perfbench/tracing.py``) sees
+these calls too.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ from . import maps
 from .errors import ZeroMatrix
 from .maps import GraphMap
 from .spectral import _add, _divmod_monic, _mul, _sign, _sub
-from .words import _tighten, base, inv, inverse
+from .words import _INVERSE_OF, _substitute, base, inv, inverse
 
 
 def _common_path_prefix(p1, p2):
@@ -40,7 +42,7 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
     is kept; the list is in (length, path) order.  Paths are walked depth
     first; each carries its tightened images f_#, ..., f^P_# as persistent
     stacks, one per power p, and one more edge d pushes f^p_#(d) from the
-    table of ``_powers`` onto each.  The extensions of a path are skipped
+    map's power table onto each.  The extensions of a path are skipped
     when ``_beyond_reach`` shows that none can be periodic, and a path at
     the length bound is not walked when it is larger than its reverse: it
     would not be kept, and its reverse, periodic with the same period, is
@@ -49,16 +51,13 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
     g = f.domain
     if period_bound < 1 or length_bound < 1:
         return []
-    inverse_of = f._inverses
     starts = sorted(g.oriented_edges())
-    powers = _powers(f._images, starts, period_bound, inverse_of)
-    reach = [max(map(len, level.values())) for level in powers]
-    follow = {
-        d: [e for e in sorted(g.edges_at(g.edge_dst(d))) if e != inverse_of[d]] for d in starts
-    }
+    powers = [f._images.power(p) for p in range(1, period_bound + 1)]
+    reach = [max(len(level[d]) for d in starts) for level in powers]
+    follow = {d: [e for e in sorted(g.edges_at(g.edge_dst(d))) if e != inv(d)] for d in starts}
 
     def grow(tops, d):
-        return [_push(top, level[d], inverse_of) for top, level in zip(tops, powers)]
+        return [_push(top, level[d]) for top, level in zip(tops, powers)]
 
     found = []
     stack = [((d,), grow([_ROOT] * period_bound, d)) for d in reversed(starts)]
@@ -74,7 +73,7 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
         if not left or _beyond_reach([top[4] for top in tops], reach, left, length_bound):
             continue
         for d in reversed(follow[sigma[-1]]):
-            if left == 1 and inverse_of[d] < sigma[0]:
+            if left == 1 and _INVERSE_OF[d] < sigma[0]:
                 continue
             stack.append((sigma + (d,), grow(tops, d)))
     found.sort(key=lambda hit: (len(hit[0]), hit[0]))
@@ -84,25 +83,16 @@ def _vertex_nielsen_paths(f: GraphMap, period_bound, length_bound):
     ]
 
 
-def _powers(images, letters, levels, inverse_of):
-    """``[f_#, ..., f^levels_#]``, each a dict letter -> the tightened image
-    of that letter, f given by the letter -> image table ``images``."""
-    table, level = [], {x: (x,) for x in letters}
-    for _ in range(levels):
-        level = {x: _tighten(map(images.__getitem__, w), inverse_of) for x, w in level.items()}
-        table.append(level)
-    return table
-
-
 # A stack node (word, lo, hi, below, length) spells the word of ``below``
 # followed by word[lo:hi], ``length`` letters in all; _ROOT spells ().
 _ROOT = (None, 0, 0, None, 0)
 
 
-def _push(top, word, inverse_of):
+def _push(top, word):
     """The persistent stack spelling the reduced product of ``top``'s word
     and the reduced word ``word``.  Only the letters that cancel are read;
     what is left of ``word`` becomes one node."""
+    inverse_of = _INVERSE_OF
     for cut, y in enumerate(word):
         w, lo, hi, below, length = top
         if not length or w[hi - 1] != inverse_of[y]:
@@ -158,13 +148,12 @@ def _interior_nielsen_paths(f: GraphMap, period_bound, length_bound):
 
     bad = maps.illegal_turns(f)
     legal_next = _legal_continuations(f, bad)
-    powers = _powers(f._images, f.domain.oriented_edges(), period_bound, f._inverses)
     results = []
     for turn in sorted(bad, key=sorted):
         d1, d2 = sorted(turn)
         for p in range(1, period_bound + 1):
             hit = _grow_legs(
-                f, d1, d2, p, powers[p - 1], length_bound, legal_next, sf, ell, scaled[p]
+                f, d1, d2, p, f._images.power(p), length_bound, legal_next, sf, ell, scaled[p]
             )
             if hit is not None:
                 results.append(hit)
@@ -198,7 +187,7 @@ def _legal_continuations(f: GraphMap, bad_turns):
 def _grow_legs(f, d1, d2, p, power, length_bound, legal_next, sf, ell, scaled):
     """Depth-first coupled growth of the two legs; returns the first hit.
 
-    ``power`` is the table edge -> f^p_#(edge) of ``_powers``, ``ell`` the
+    ``power`` is the table edge -> f^p_#(edge) of the map, ``ell`` the
     eigen-metric and ``scaled`` the same lengths times lambda^p - 1."""
     stack = [((d1,), (d2,))]
     seen = set()
@@ -207,8 +196,8 @@ def _grow_legs(f, d1, d2, p, power, length_bound, legal_next, sf, ell, scaled):
         if (alpha, beta) in seen or len(alpha) > length_bound or len(beta) > length_bound:
             continue
         seen.add((alpha, beta))
-        g1 = _tighten(map(power.__getitem__, alpha), f._inverses)
-        g2 = _tighten(map(power.__getitem__, beta), f._inverses)
+        g1 = _substitute(power, alpha)
+        g2 = _substitute(power, beta)
         tau = _common_path_prefix(g1, g2)
         if not tau:
             continue

@@ -18,19 +18,21 @@ from .record import record
 # --- direction orbits ----------------------------------------------------
 
 
+def _period(step, x):
+    """The least p >= 1 with step^p(x) = x, for the self-map ``step`` (a
+    dict) of a finite set; None when x is not periodic."""
+    seen, cur = {x}, step[x]
+    while cur not in seen:
+        seen.add(cur)
+        cur = step[cur]
+    return len(seen) if cur == x else None
+
+
 def periodic_directions(f: GraphMap):
     """Map direction -> period for the Dg-periodic directions."""
     dmap = f.direction_map
-    out = {}
-    for d in dmap:
-        cur = d
-        seen = []
-        while cur not in seen:
-            seen.append(cur)
-            cur = dmap[cur]
-        if cur == d:
-            out[d] = len(seen)
-    return out
+    periods = {d: _period(dmap, d) for d in dmap}
+    return {d: p for d, p in periods.items() if p}
 
 
 def _principal(f: GraphMap):
@@ -50,16 +52,8 @@ def rotationless_power(f: GraphMap, k_max):
 
 
 def _vertex_periods(f: GraphMap, verts):
-    out = []
-    for v in verts:
-        cur = v
-        seen = []
-        while cur not in seen:
-            seen.append(cur)
-            cur = f.vertex_map[cur]
-        if cur == v:
-            out.append(len(seen))
-    return out or [1]
+    periods = (_period(f.vertex_map, v) for v in verts)
+    return [p for p in periods if p] or [1]
 
 
 # --- stable Whitehead graphs ---------------------------------------------

@@ -32,13 +32,19 @@ class _Inverses(dict):
         return mate
 
 
+# the one memo of letter inverses that every tightening loop reads
+_INVERSE_OF = _Inverses()
+
+
 class _OrientedImages(dict):
     """Oriented letter -> image word under the basis images ``images``;
-    the image of an inverse letter is inverted on its first lookup."""
+    the image of an inverse letter is inverted on its first lookup.  This
+    table is the level f_# of the map's powers (``power``)."""
 
     def __init__(self, images):
         super().__init__()
         self.images = images
+        self.above = []  # the tables of f^2_#, f^3_#, ... built so far
 
     def __missing__(self, letter):
         img = self.images[base(letter)]
@@ -47,14 +53,49 @@ class _OrientedImages(dict):
         self[letter] = img
         return img
 
+    def power(self, p):
+        """The table of f^p_# (p >= 1), f_# being this table.  Levels up
+        to p are built on first use and kept, so every f^k of one map is
+        built once."""
+        if p == 1:
+            return self
+        above = self.above
+        while len(above) < p - 1:
+            above.append(_Power(self, above[-1] if above else self))
+        return above[p - 2]
 
-def _tighten(pieces, inverse_of):
+
+class _Power(dict):
+    """Oriented letter -> f^p_#(letter), filled on first lookup as
+    f_#(f^(p-1)_#(letter)) from the table ``first`` of f_# and the table
+    ``below`` of f^(p-1)_#; an inverse letter inverts its mate's image."""
+
+    def __init__(self, first, below):
+        super().__init__()
+        self.first, self.below = first, below
+
+    def __missing__(self, letter):
+        if not is_positive(letter):
+            self[letter] = img = inverse(self[inv(letter)])
+            return img
+        # fill the levels that lack the letter from the lowest up, so that a
+        # deep level does not recurse once per level
+        chain = [self]
+        while chain[-1].below is not self.first and letter not in chain[-1].below:
+            chain.append(chain[-1].below)
+        for level in reversed(chain):
+            level[letter] = img = _substitute(self.first, level.below[letter])
+        return img
+
+
+def _tighten(pieces):
     """Concatenation of the letter sequences ``pieces``, freely reduced.
 
     The one cancel-on-inverse loop behind words, basis images and edge
     paths: a letter pops the top of the stack when the top is its inverse
-    (looked up in ``inverse_of``) and is pushed otherwise.
+    and is pushed otherwise.
     """
+    inverse_of = _INVERSE_OF
     out = []
     push, pop = out.append, out.pop
     for piece in pieces:
@@ -66,8 +107,9 @@ def _tighten(pieces, inverse_of):
     return tuple(out)
 
 
-def _cyclic_start(word, inverse_of):
+def _cyclic_start(word):
     """Number of letters cyclic reduction strips from each end of a reduced word."""
+    inverse_of = _INVERSE_OF
     i, j = 0, len(word) - 1
     while j > i and word[i] == inverse_of[word[j]]:
         i += 1
@@ -77,11 +119,11 @@ def _cyclic_start(word, inverse_of):
 
 def free_reduce(word):
     """Reduce a word by cancelling adjacent inverse pairs."""
-    return _tighten((word,), _Inverses())
+    return _tighten((word,))
 
 
 def concat(*words):
-    return _tighten(words, _Inverses())
+    return _tighten(words)
 
 
 def cyclic_reduce(word):
@@ -90,7 +132,7 @@ def cyclic_reduce(word):
     The input is freely reduced first.
     """
     w = free_reduce(word)
-    i = _cyclic_start(w, _Inverses())
+    i = _cyclic_start(w)
     return w[i : len(w) - i], w[:i]
 
 
@@ -114,7 +156,7 @@ def _substitute(oriented, word):
     ``_OrientedImages`` table ``oriented``, freely reduced.  A caller that
     substitutes many words through one automorphism keeps one table, so
     each inverse image is built once."""
-    return _tighten(map(oriented.__getitem__, word), _Inverses())
+    return _tighten(map(oriented.__getitem__, word))
 
 
 def apply_images(images, word):
@@ -126,18 +168,11 @@ def apply_images(images, word):
     return _substitute(_OrientedImages(images), word)
 
 
-def compose_images(outer, inner):
-    """Basis images of the composite ``outer after inner``."""
-    return {s: apply_images(outer, w) for s, w in inner.items()}
-
-
-def identity_images(symbols):
-    return {s: (s,) for s in symbols}
-
-
 def power_images(images, n):
+    """Basis images of Phi^n, Phi given by the reduced basis images
+    ``images``; each call builds its own power table."""
     symbols = sorted(images)
-    result = identity_images(symbols)
-    for _ in range(n):
-        result = compose_images(images, result)
-    return result
+    if n < 1:
+        return {s: (s,) for s in symbols}
+    table = _OrientedImages(images).power(n)
+    return {s: table[s] for s in symbols}

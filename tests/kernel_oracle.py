@@ -17,6 +17,9 @@ parameter, which no caller set and the package's
 ``induced_outer_automorphism`` no longer takes.  ``iterate_map``, p passes
 of ``apply_map``, is the package's as it was before the searches read
 f^p_#-images from one table; it calls this module's ``apply_map``.
+``compose_images``, ``identity_images`` and ``power_images`` are the
+composition route that the package's power table
+(``words._OrientedImages.power``) replaced.
 
 The second part keeps the walkers that each built their own adjacency or
 orbit before the graph's ``edges_at``, its cached root paths and the map's

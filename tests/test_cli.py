@@ -95,6 +95,12 @@ def _with_edge_id(graph, edge_id):
     return {**graph, "edges": [{**graph["edges"][0], "id": edge_id}] + graph["edges"][1:]}
 
 
+def _with_length(m, length):
+    graph = m["graph"]
+    edges = [{**graph["edges"][0], "length": length}] + graph["edges"][1:]
+    return {**m, "graph": {**graph, "edges": edges}}
+
+
 @pytest.mark.parametrize(
     "command,damage",
     [
@@ -106,6 +112,10 @@ def _with_edge_id(graph, edge_id):
         pytest.param("validate", lambda m: "x", id="validate-top-level-string"),
         pytest.param("analyze", lambda m: 5, id="analyze-top-level-number"),
         pytest.param("validate", lambda m: _with_edge_id(m["graph"], 3), id="validate-edge-id-as-number"),
+        pytest.param("analyze", lambda m: _with_length(m, "1/0"), id="analyze-length-over-zero"),
+        pytest.param("validate", lambda m: _with_length(m, "1/0"), id="validate-length-over-zero"),
+        pytest.param("analyze", lambda m: _with_length(m, float("inf")), id="analyze-length-infinity"),
+        pytest.param("validate", lambda m: _with_length(m, float("inf")), id="validate-length-infinity"),
     ],
 )
 def test_malformed_map_or_graph_exits_2(fixture_dir, command, damage, tmp_path, capsys):
@@ -201,6 +211,29 @@ def test_an_out_pipe_is_written_through_not_replaced(fixture_dir, tmp_path):
     reader.join(5)
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert json.loads(read[0])["input"] == "FIB.json"
+
+
+def test_an_out_symlink_is_written_through_to_its_target(fixture_dir, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("{}")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["analyze", str(fixture_dir / "FIB.json"), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["input"] == "FIB.json"
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
+def test_an_out_descriptor_path_is_written_through(fixture_dir):
+    # /dev/stdout and /dev/fd/N reach a pipe through a link whose text is
+    # no path ("pipe:[N]"), so the link itself must be opened
+    r, w = os.pipe()
+    with os.fdopen(r) as reader:
+        try:
+            assert main(["analyze", str(fixture_dir / "FIB.json"), "--out", f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        assert json.loads(reader.read())["input"] == "FIB.json"
 
 
 # The output of analyze on two disjoint FIB blocks, whose PF root has a

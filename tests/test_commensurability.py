@@ -178,21 +178,20 @@ def test_fib_25th_power_images_cover_fib(monkeypatch):
         return solve(equations)
 
     monkeypatch.setattr(commensurability, "solve_conjugacy_system", recorded)
-    # Phi^k is built once for all k: 24 compositions, and 25 more in the
-    # replay of the witness
-    composed = []
-    compose = words.compose_images
+    # one power table of Phi serves every k: 24 composed levels, and 24
+    # more in the own table of Phi^25 of the replay that checks the witness
+    levels = []
 
-    def counted(outer, inner):
-        composed.append(1)
-        return compose(outer, inner)
+    class Counted(words._Power):
+        def __init__(self, first, below):
+            levels.append(1)
+            super().__init__(first, below)
 
-    monkeypatch.setattr(words, "compose_images", counted)
-    monkeypatch.setattr(commensurability, "compose_images", counted)
+    monkeypatch.setattr(words, "_Power", Counted)
     witness = covers_relation(psi, phi, 25)
     assert witness == CoveringWitness(full_group(("a", "b")), 25, (), {"a": ("a",), "b": ("b",)})
     assert len(solved) == 1
-    assert len(composed) <= 50
+    assert len(levels) <= 50
     assert replay_witness(witness, psi, phi)
 
 

@@ -302,7 +302,7 @@ def test_extend_restriction_recovers_far_conjugators(images):
 
 
 def test_extend_restriction_identity(parity_subgroup):
-    from fibercomm.words import identity_images
+    from kernel_oracle import identity_images
 
     H = parity_subgroup.canonical()
     gen_symbols = tuple(sorted(f"x{i}" for i in range(H.rank())))

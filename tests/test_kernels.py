@@ -33,12 +33,12 @@ def positive_automorphism(seed, moves=8):
     """Seeded composite of positive elementary moves x -> xy, x -> yx on F(a, b, c)."""
     rng = random.Random(seed)
     symbols = ("a", "b", "c")
-    images = words.identity_images(symbols)
+    images = old.identity_images(symbols)
     for _ in range(moves):
         x, y = rng.sample(symbols, 2)
-        move = words.identity_images(symbols)
+        move = old.identity_images(symbols)
         move[x] = (x, y) if rng.random() < 0.5 else (y, x)
-        images = words.compose_images(move, images)
+        images = old.compose_images(move, images)
     return images
 
 
@@ -287,7 +287,7 @@ def graph_maps(draw):
         return GraphMap(rose(petals), {"v0": "v0"}, images)
     g = draw(marked_graphs())
     if kind == "identity":
-        return maps.identity_map(g)
+        return GraphMap(g, {v: v for v in g.vertices}, {e: (e,) for e in g.edges})
     vertex_map = {v: draw(st.sampled_from(g.vertices)) for v in g.vertices}
     loop_edge = next(e for e in sorted(g.edges) if e[0] == "x")
     edge_map = {}
@@ -332,6 +332,37 @@ def test_toroidality_search_matches_oracle_on_random_maps(f, power_bound, length
     assert maps.is_atoroidal(f, power_bound, length_bound) == old.is_atoroidal(
         f, power_bound, length_bound
     )
+
+
+@given(f=graph_maps())
+@SETTINGS
+def test_power_table_matches_iterated_map_on_random_maps(f):
+    for p in range(1, 5):
+        level = f._images.power(p)
+        for d in f.domain.oriented_edges():
+            assert level[d] == old.iterate_map(f, (d,), p)
+        assert map_power(f, p).edge_map == {e: level[e] for e in f.domain.edges}
+    assert f._images.power(2) is f._images.power(2)
+    identity = map_power(f, 0)
+    assert identity.vertex_map == {v: v for v in f.domain.vertices}
+    assert identity.edge_map == {e: (e,) for e in f.domain.edges}
+
+
+def test_nielsen_search_builds_each_power_once(kernel_maps, monkeypatch):
+    # the vertex and interior searches read one table of the map: periods
+    # 1..3 build two composed levels, not two per search
+    levels = []
+
+    class Counted(words._Power):
+        def __init__(self, first, below):
+            levels.append(1)
+            super().__init__(first, below)
+
+    monkeypatch.setattr(words, "_Power", Counted)
+    plast = kernel_maps["PLAST"]
+    f = GraphMap(plast.domain, plast.vertex_map, plast.edge_map)
+    maps.find_nielsen_paths(f, 3, LENGTH_BOUND)
+    assert len(levels) == 2
 
 
 FIXED_TOROIDALITY_MAPS = {
@@ -475,11 +506,10 @@ def test_canonical_matches_oracle_on_random_subgroup_graphs(sg):
 def test_push_spells_the_reduced_products(raw):
     # each push spells the reduced product so far, and every earlier top
     # still spells its own word
-    inverse_of = words._Inverses()
     top, spelled, earlier = searches._ROOT, (), []
     for letters in raw:
         word = old.free_reduce(letters)
-        top = searches._push(top, word, inverse_of)
+        top = searches._push(top, word)
         spelled = old.free_reduce(spelled + word)
         earlier.append((top, spelled))
         for t, w in earlier:

@@ -13,7 +13,8 @@ from fibercomm.covers import (
 )
 from fibercomm.graph import rank
 from fibercomm.maps import induced_outer_automorphism
-from fibercomm.words import compose_images, identity_images, power_images
+from fibercomm.words import power_images
+from kernel_oracle import compose_images, identity_images
 
 # elementary Nielsen transformations of F(a, b)
 NIELSEN = [

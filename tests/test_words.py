@@ -1,23 +1,25 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fibercomm.words import (
+    _OrientedImages,
     apply_images,
     base,
-    compose_images,
     concat,
     cyclic_reduce,
     format_word,
     free_reduce,
-    identity_images,
     inv,
     inverse,
     parse_word,
     power_images,
 )
 from conjugates import conjugate_classes_equal
+import kernel_oracle as old
 from kernel_oracle import (
+    compose_images,
     cyclic_rotations,
     enumerate_reduced_words,
+    identity_images,
     is_cyclically_reduced,
     is_reduced,
 )
@@ -100,6 +102,44 @@ def test_power_images_matches_repeated_composition():
     twice = compose_images(images, images)
     assert power_images(images, 2) == twice
     assert power_images(images, 0) == identity_images(("a", "b"))
+
+
+RANK3 = ("a", "b", "c")
+
+
+@st.composite
+def automorphisms(draw):
+    """Composites of up to six elementary Nielsen moves of F(a, b, c):
+    x -> x y, x -> y x (y a letter other than x or x^-1) and x -> x^-1."""
+    images = identity_images(RANK3)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        x, y = draw(st.permutations(RANK3))[:2]
+        y = draw(st.sampled_from((y, inv(y))))
+        move = identity_images(RANK3)
+        move[x] = draw(st.sampled_from(((x, y), (y, x), (inv(x),))))
+        images = compose_images(move, images)
+    return images
+
+
+@given(automorphisms())
+@settings(max_examples=60, deadline=None)
+def test_power_table_matches_oracle_on_automorphisms(images):
+    table = _OrientedImages(images)
+    for p in range(1, 5):
+        expected = old.power_images(images, p)
+        for s in RANK3:
+            assert table.power(p)[s] == expected[s]
+            assert table.power(p)[inv(s)] == old.inverse(expected[s])
+        assert power_images(images, p) == expected
+    assert table.power(3) is table.power(3)
+    assert power_images(images, 0) == identity_images(RANK3)
+
+
+def test_a_deep_power_level_fills_without_recursion():
+    # level 5001 is looked up before any level below it holds a letter
+    swap = {"a": ("b",), "b": ("a",)}
+    assert power_images(swap, 5001) == {"a": ("b",), "b": ("a",)}
+    assert _OrientedImages(swap).power(5000)["~a"] == ("~a",)
 
 
 def test_enumerate_reduced_words_counts():
